@@ -1,25 +1,26 @@
 """Maximum-likelihood fitting of the truncated discrete kernels.
 
-All objectives are negative log-likelihoods: lower is better. The three
-fitters use different machinery, matched to their likelihood surfaces:
+All objectives are negative log-likelihoods: lower is better. Two
+solvers cover the three families, matched to their likelihood surfaces:
 
-* power law: the score is monotone in ``alpha``, so the MLE is found by
-  bracketing and bisecting the derivative of the objective.
+* power law and hooked power law: one exact 1-D score solver. The hooked
+  weight ``(B + x)**-alpha`` is the power law shifted by ``B``, and for
+  any fixed ``B`` the objective is convex in ``alpha``, so the optimal
+  ``alpha`` is the root of a monotone score (:func:`_alpha_at`). The
+  power law is that solve at ``B = 0``. The hooked fit profiles it over
+  ``log(B + 1)``: a fixed grid, then a root of the profile's slope, which
+  is the analytic ``d/dB`` of the objective. The profile follows the long
+  diagonal valley in which increases in ``alpha`` trade off against
+  increases in ``B``, which makes the 2-D problem badly conditioned for
+  gradient descent.
 * discrete lognormal: box-constrained quasi-Newton descent (L-BFGS-B)
   with analytic gradients, started from the moments of ``ln x``. Its
   likelihood surface has a single sharp basin.
-* hooked power law: projected gradient descent with a backtracking
-  (nonmonotone Armijo) line search and Barzilai-Borwein trial steps,
-  restarted from four initial points. Plain fixed-step descent is
-  hopeless here: the surface has a long diagonal valley where increases
-  in ``alpha`` trade off against increases in ``B``, so the problem is
-  badly conditioned and single starts are unreliable. The gradient of
-  the data term is analytic; the normalizer's contribution is a central
-  difference with relative step 1e-5.
 
-Non-convergence is a reported state (``converged=False``), never an
-exception, so batch runs over many datasets complete. Degenerate data
-(constant values, or fewer points than the model can identify) raises
+Convergence is always decided on the analytic gradient. Non-convergence
+is a reported state (``converged=False``), never an exception, so batch
+runs over many datasets complete. Degenerate data (constant values, or
+fewer points than the model can identify) raises
 :class:`~citefit.errors.DegenerateDataError`.
 
 Everything here is a pure function of its inputs; concurrent use is safe.
@@ -28,12 +29,11 @@ Everything here is a pure function of its inputs; concurrent use is safe.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import brentq, minimize
 from scipy.special import logsumexp
 
 from .dataset import CountDataset, TruncatedView, truncate
@@ -61,18 +61,15 @@ MIN_TAIL_TWO_PARAM = 3
 MIN_SCAN_TAIL = 10
 
 #: Exit tolerances.
-POWER_LAW_ALPHA_TOL = 1e-6
 HOOKED_GRAD_TOL = 1e-6
-HOOKED_MAX_ITER = 50_000
 LOGNORMAL_GRAD_TOL = 1e-7
 LOGNORMAL_MAX_ITER = 10_000
 
-#: Hooked multi-start grid (alpha, B).
-HOOKED_STARTS = ((1.5, 0.5), (1.5, 20.0), (3.0, 0.5), (3.0, 20.0))
-
 _ALPHA_LO = ALPHA_MIN + 1e-9
 _B_LO = B_MIN + 1e-9
-_NORMALIZER_STEP = 1e-5
+_ROOT_XTOL = 1e-14
+#: Profile points on the log(B + 1) grid that brackets the hooked optimum.
+_PROFILE_GRID = 40
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,6 @@ class _TailStats:
         self.window = np.arange(view.x_min, view.x_min + NORMALIZATION_TERMS, dtype=float)
         self.log_window = np.log(self.window)
         self.log_values = np.log(values)
-        self.sum_log = float(self.counts @ self.log_values)
 
     @property
     def degenerate(self) -> bool:
@@ -143,47 +139,101 @@ def neg_log_likelihood(params: ParamSpec, x_min: int, data: TruncatedView) -> fl
 
 
 def fit_power_law(data: TruncatedView) -> FitResult:
-    """MLE for the power-law exponent by bisecting the score function.
+    """MLE for the power-law exponent: the hooked profile step at ``B = 0``.
 
-    The derivative of the objective in ``alpha`` is increasing, so a sign
-    change over (1, 20] brackets the optimum; bisection then narrows it
-    to ``|delta alpha| < 1e-6``. A bracket failure (optimum pinned at a
-    boundary) returns ``converged=False`` at that boundary.
+    The score (derivative of the objective in ``alpha``) is increasing, so
+    its root on (1, 20] is the optimum; ``iterations`` counts the root
+    finder's steps. Without a sign change the optimum is pinned at a
+    boundary and the fit returns ``converged=False`` there.
+    ``gradient_norm_at_exit`` is the absolute score at the returned alpha.
     """
     stats = _TailStats(data)
     if stats.n < MIN_TAIL_POWER_LAW or stats.degenerate:
         raise DegenerateDataError(
             "power-law fit needs at least two points and two distinct values"
         )
-
-    def score(alpha: float) -> float:
-        w = np.exp(-alpha * stats.log_window)
-        return stats.sum_log - stats.n * float((stats.log_window @ w) / w.sum())
-
-    lo, hi = _ALPHA_LO, ALPHA_MAX
-    iterations = 0
-    if score(lo) >= 0.0:
-        alpha, converged = lo, False
-    elif score(hi) <= 0.0:
-        alpha, converged = hi, False
-    else:
-        while hi - lo > POWER_LAW_ALPHA_TOL:
-            mid = 0.5 * (lo + hi)
-            if score(mid) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-            iterations += 1
-        alpha, converged = 0.5 * (lo + hi), True
-    params = PowerLawParams(alpha)
+    point = _alpha_at(stats, 0.0)
+    params = PowerLawParams(point.alpha)
     return FitResult(
         dist=DiscreteDistribution(params, data.x_min),
         neg_log_likelihood=neg_log_likelihood(params, data.x_min, data),
         n_tail=stats.n,
         x_min=data.x_min,
-        converged=converged,
+        converged=not point.pinned,
+        iterations=point.iterations,
+        gradient_norm_at_exit=abs(point.grad[0]),
+    )
+
+
+class _ProfilePoint(NamedTuple):
+    """The profile optimum in alpha at one offset, with the exact gradient."""
+
+    alpha: float
+    b: float
+    pinned: bool
+    iterations: int
+    neg_log_likelihood: float
+    grad: tuple[float, float]  # d/d alpha, d/d B of the objective
+
+    @property
+    def slope(self) -> float:
+        """d/dt of the profile, t = log(B + 1).
+
+        By the envelope theorem this is the partial d/dB of the objective
+        at (alpha(B), B), times ``B + 1``.
+        """
+        return self.grad[1] * (self.b + 1.0)
+
+
+# The functions handed to brentq are module-level and take their data via
+# ``args``: brentq wraps its function in a self-referencing closure, so a
+# closure passed to it would keep its window arrays alive until the cycle
+# collector runs, and memory would grow with every fit.
+
+
+def _alpha_score(alpha: float, shifted, log_window, data: float, n: int) -> float:
+    w = np.exp(-alpha * shifted)
+    return data - n * float(w @ log_window) / float(w.sum())
+
+
+def _alpha_at(stats: _TailStats, b: float) -> _ProfilePoint:
+    """MLE of alpha with the hooked offset held at ``b`` (``b = 0``: power law).
+
+    For fixed ``b`` the objective ``alpha * sum c log(b + v) + n log Z`` is
+    convex in alpha (a linear data term plus a log-sum-exp of linear
+    functions), so its derivative, the score, is increasing and ``brentq``
+    finds its root on ``[_ALPHA_LO, ALPHA_MAX]``. Without a sign change the
+    optimum is pinned at the bound the score points to.
+    """
+    log_window = np.log(b + stats.window)
+    shifted = log_window - log_window[0]  # keeps the window weights in range
+    data = float(stats.counts @ np.log(b + stats.values))
+    args = (shifted, log_window, data, stats.n)
+
+    iterations = 0
+    if _alpha_score(_ALPHA_LO, *args) >= 0.0:
+        alpha, pinned = _ALPHA_LO, True
+    elif _alpha_score(ALPHA_MAX, *args) <= 0.0:
+        alpha, pinned = ALPHA_MAX, True
+    else:
+        alpha, info = brentq(
+            _alpha_score, _ALPHA_LO, ALPHA_MAX, args=args, xtol=_ROOT_XTOL, full_output=True
+        )
+        pinned, iterations = False, info.iterations
+    w = np.exp(-alpha * shifted)
+    z = float(w.sum())
+    p = w / z
+    return _ProfilePoint(
+        alpha=alpha,
+        b=b,
+        pinned=pinned,
         iterations=iterations,
-        gradient_norm_at_exit=abs(score(alpha)),
+        neg_log_likelihood=alpha * data + stats.n * (math.log(z) - alpha * log_window[0]),
+        grad=(
+            data - stats.n * float(p @ log_window),
+            alpha * float(stats.counts @ (1.0 / (b + stats.values)))
+            - alpha * stats.n * float(p @ (1.0 / (b + stats.window))),
+        ),
     )
 
 
@@ -305,91 +355,30 @@ def _projected_gradient_norm(theta, grad, bounds) -> float:
     return float(np.linalg.norm(theta - stepped))
 
 
-def _hooked_objective(stats: _TailStats):
-    window = stats.window
-    values = stats.values
-    counts = stats.counts
-    n = stats.n
-
-    def fun(theta) -> float:
-        alpha, b = theta
-        z = np.exp(-alpha * np.log(b + window)).sum()
-        return float(alpha * (counts @ np.log(b + values)) + n * math.log(z))
-
-    def fun_grad(theta):
-        alpha, b = theta
-        log_shift = np.log(b + window)
-        z = float(np.exp(-alpha * log_shift).sum())
-        log_data = np.log(b + values)
-        value = float(alpha * (counts @ log_data) + n * math.log(z))
-
-        # central differences on the normalizer, relative step 1e-5
-        h_a = _NORMALIZER_STEP * max(1.0, abs(alpha))
-        dz_alpha = (
-            np.exp(-(alpha + h_a) * log_shift).sum()
-            - np.exp(-(alpha - h_a) * log_shift).sum()
-        ) / (2.0 * h_a)
-        h_b = _NORMALIZER_STEP * max(1.0, abs(b))
-        dz_b = (
-            np.exp(-alpha * np.log(b + h_b + window)).sum()
-            - np.exp(-alpha * np.log(b - h_b + window)).sum()
-        ) / (2.0 * h_b)
-
-        g_alpha = float(counts @ log_data) + n * dz_alpha / z
-        g_b = alpha * float(counts @ (1.0 / (b + values))) + n * dz_b / z
-        return value, np.array([g_alpha, g_b])
-
-    return fun, fun_grad
+def _profile_at(t: float, stats: _TailStats, profiled: list) -> _ProfilePoint:
+    """Profile point at ``B = exp(t) - 1`` (kept in the box), recorded in ``profiled``."""
+    point = _alpha_at(stats, min(max(math.expm1(t), _B_LO), B_MAX))
+    profiled.append(point)
+    return point
 
 
-def _spg_descent(fun, fun_grad, start, lower, upper, grad_tol, max_iter):
-    """Projected gradient descent with BB steps and nonmonotone backtracking."""
-    theta = np.clip(np.asarray(start, dtype=float), lower, upper)
-    value, grad = fun_grad(theta)
-    step = 1.0 / max(1.0, float(np.linalg.norm(grad)))
-    recent = deque([value], maxlen=10)
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        projected = theta - np.clip(theta - grad, lower, upper)
-        grad_norm = float(np.linalg.norm(projected))
-        if grad_norm < grad_tol:
-            converged = True
-            break
-        iterations += 1
-        t = float(np.clip(step, 1e-12, 1e12))
-        reference = max(recent)
-        candidate = None
-        for _ in range(80):
-            trial = np.clip(theta - t * grad, lower, upper)
-            direction = trial - theta
-            if not direction.any():
-                break
-            trial_value = fun(trial)
-            if trial_value <= reference + 1e-4 * float(grad @ direction):
-                candidate = (trial, trial_value)
-                break
-            t *= 0.5
-        if candidate is None:  # line search stalled at rounding noise
-            break
-        new_theta, new_value = candidate
-        new_value, new_grad = fun_grad(new_theta)
-        s = new_theta - theta
-        y = new_grad - grad
-        sy = float(s @ y)
-        step = float(s @ s) / sy if sy > 1e-30 else 1.0
-        theta, value, grad = new_theta, new_value, new_grad
-        recent.append(value)
-    projected = theta - np.clip(theta - grad, lower, upper)
-    return theta, value, iterations, float(np.linalg.norm(projected)), converged
+def _profile_slope(t: float, stats: _TailStats, profiled: list) -> float:
+    return _profile_at(t, stats, profiled).slope
 
 
 def fit_hooked(data: TruncatedView) -> FitResult:
-    """MLE for the hooked power law by multi-start projected gradient descent.
+    """MLE for the hooked power law by profile likelihood over the offset.
 
-    Four starts at ``(alpha, B) in {1.5, 3} x {0.5, 20}``; the best final
-    value wins. See the module docstring for why a single start is not
-    trusted on this likelihood surface.
+    The objective is minimised over ``t = log(B + 1)`` on
+    ``[B_MIN, B_MAX]``, with alpha solved exactly at each ``B`` by
+    :func:`_alpha_at`. A fixed grid of profile points locates the best
+    region; between the best point and the neighbour across which the
+    profile slope changes sign, ``brentq`` finds the root of that slope.
+    By the envelope theorem the slope is the exact ``d objective / dB`` at
+    ``(alpha(B), B)``, times ``B + 1``. The lower of the grid point and
+    the root is returned. ``converged`` means the projected analytic
+    gradient there is below ``HOOKED_GRAD_TOL``; ``iterations`` counts the
+    profile points evaluated.
     """
     stats = _TailStats(data)
     if stats.n < MIN_TAIL_TWO_PARAM:
@@ -397,28 +386,30 @@ def fit_hooked(data: TruncatedView) -> FitResult:
     if stats.degenerate:
         raise DegenerateDataError("hooked-power-law fit needs at least two distinct values")
 
-    fun, fun_grad = _hooked_objective(stats)
-    lower = np.array([_ALPHA_LO, _B_LO])
-    upper = np.array([ALPHA_MAX, B_MAX])
-    best = None
-    total_iterations = 0
-    for start in HOOKED_STARTS:
-        theta, value, iters, grad_norm, converged = _spg_descent(
-            fun, fun_grad, start, lower, upper, HOOKED_GRAD_TOL, HOOKED_MAX_ITER
-        )
-        total_iterations += iters
-        if best is None or value < best[1]:
-            best = (theta, value, grad_norm, converged)
-    theta, _, grad_norm, converged = best
-    params = HookedPowerLawParams(float(theta[0]), float(theta[1]))
+    profiled: list[_ProfilePoint] = []
+    grid = np.linspace(math.log1p(_B_LO), math.log1p(B_MAX), _PROFILE_GRID)
+    points = [_profile_at(t, stats, profiled) for t in grid]
+    k = min(range(_PROFILE_GRID), key=lambda i: points[i].neg_log_likelihood)
+    best = points[k]
+    side = k + 1 if best.slope < 0.0 else k - 1
+    if 0 <= side < _PROFILE_GRID and points[side].slope * best.slope < 0.0:
+        lo, hi = sorted((grid[k], grid[side]))
+        t_root = brentq(_profile_slope, lo, hi, args=(stats, profiled), xtol=_ROOT_XTOL)
+        root = _profile_at(t_root, stats, profiled)
+        if root.neg_log_likelihood < best.neg_log_likelihood:
+            best = root
+    bounds = [(_ALPHA_LO, ALPHA_MAX), (_B_LO, B_MAX)]
+    theta = np.array([best.alpha, best.b])
+    grad_norm = _projected_gradient_norm(theta, np.array(best.grad), bounds)
+    params = HookedPowerLawParams(best.alpha, best.b)
     return FitResult(
         dist=DiscreteDistribution(params, data.x_min),
         neg_log_likelihood=neg_log_likelihood(params, data.x_min, data),
         n_tail=stats.n,
         x_min=data.x_min,
-        converged=bool(converged),
-        iterations=total_iterations,
-        gradient_norm_at_exit=float(grad_norm),
+        converged=bool(grad_norm < HOOKED_GRAD_TOL),
+        iterations=len(profiled),
+        gradient_norm_at_exit=grad_norm,
     )
 
 

@@ -241,22 +241,18 @@ class DiscreteDistribution:
         return out
 
     def ccdf(self, x):
-        """P(X >= x) = 1 - sum of pmf over [x_min, x); equals 1 at x_min."""
+        """P(X >= x) = 1 - sum of pmf over [x_min, x); equals 1 at x_min.
+
+        The pmf sums to one over the normalization window, so beyond the
+        window the ccdf stays at the window's own tail,
+        ``max(1 - cum[-1], 0)``: the cost does not depend on ``x``.
+        """
         arr, scalar = self._validate_support(x)
-        idx = arr.astype(np.int64) - self.x_min
         cum = self._window_cum
-        if idx.max() > len(cum):
-            cum = self._extended_cum(int(idx.max()))
+        idx = np.minimum(arr.astype(np.int64) - self.x_min, len(cum))
         before = np.where(idx > 0, cum[np.maximum(idx, 1) - 1], 0.0)
         out = np.maximum(1.0 - before, 0.0)
         return float(out[0]) if scalar else out
-
-    def _extended_cum(self, upto: int) -> np.ndarray:
-        extra = np.arange(
-            self.x_min + NORMALIZATION_TERMS, self.x_min + upto + 1, dtype=float
-        )
-        tail = np.exp(_log_weights(self.params, extra) - self._log_norm)
-        return np.concatenate([self._window_cum, self._window_cum[-1] + np.cumsum(tail)])
 
     def sample(self, n: int, seed) -> np.ndarray:
         """Draw ``n`` i.i.d. values by inverse-CDF search.

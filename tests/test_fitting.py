@@ -5,7 +5,7 @@ from scipy.stats import spearmanr
 from citefit.dataset import CountDataset, truncate
 from citefit.errors import DegenerateDataError, ScanError, UsageError
 from citefit.fitting import (
-    HOOKED_STARTS,
+    HOOKED_GRAD_TOL,
     fit_hooked,
     fit_lognormal,
     fit_power_law,
@@ -14,11 +14,17 @@ from citefit.fitting import (
     scan_x_min,
 )
 from citefit.kernels import (
+    ALPHA_MAX,
+    ALPHA_MIN,
+    B_MAX,
+    B_MIN,
+    NORMALIZATION_TERMS,
     DiscreteDistribution,
     DiscreteLognormalParams,
     HookedPowerLawParams,
     PowerLawParams,
 )
+from citefit.simulation import ll_contour
 
 from conftest import sample_view
 
@@ -38,6 +44,28 @@ def central_diff_gradient(build_params, theta, x_min, view, rel=1e-5):
             / (2 * h)
         )
     return np.asarray(grad)
+
+
+def projected_hooked_gradient(params, view):
+    """Norm of the projected analytic gradient of the hooked objective.
+
+    Written out from the window sums: d/d alpha is
+    ``sum log(B + v) - n E_p[log(B + x)]`` and d/dB is
+    ``alpha (sum 1/(B + v) - n E_p[1/(B + x)])``.
+    """
+    alpha, b = params.alpha, params.B
+    data = np.asarray(view.retained, dtype=float)
+    window = np.arange(view.x_min, view.x_min + NORMALIZATION_TERMS, dtype=float)
+    weights = (b + window) ** -alpha
+    p = weights / weights.sum()
+    n = len(data)
+    grad = np.array([
+        np.log(b + data).sum() - n * (p @ np.log(b + window)),
+        alpha * ((1.0 / (b + data)).sum() - n * (p @ (1.0 / (b + window)))),
+    ])
+    theta = np.array([alpha, b])
+    stepped = np.clip(theta - grad, [ALPHA_MIN, B_MIN], [ALPHA_MAX, B_MAX])
+    return float(np.linalg.norm(theta - stepped))
 
 
 class TestNegLogLikelihood:
@@ -158,11 +186,11 @@ class TestFitHooked:
         assert hooked.neg_log_likelihood <= pl.neg_log_likelihood + 1e-6
 
     def test_descent_beats_every_start(self):
+        # a grid over the ridge region, the points (1.5 | 3, 0.5 | 20) included
         view = sample_view(HookedPowerLawParams(2.5, 5.0), 800, seed=21)
         fit = fit_hooked(view)
-        for alpha0, b0 in HOOKED_STARTS:
-            start_value = neg_log_likelihood(HookedPowerLawParams(alpha0, b0), 1, view)
-            assert fit.neg_log_likelihood <= start_value + 1e-9
+        grid = ll_contour(view, "hooked", np.linspace(1.5, 3.5, 9), np.linspace(0.5, 20.0, 14))
+        assert np.all(fit.neg_log_likelihood <= np.asarray(grid.cells) + 1e-9)
 
     def test_gradient_small_at_optimum(self):
         view = sample_view(HookedPowerLawParams(3.0, 10.0), 1000, seed=33)
@@ -188,6 +216,20 @@ class TestFitHooked:
         assert hooked.converged and hooked.gradient_norm_at_exit < 1e-6
         lognormal = fit_lognormal(view)
         assert lognormal.converged and lognormal.gradient_norm_at_exit < 1e-7
+
+    @pytest.mark.parametrize("seed", (0, 33, 50))
+    def test_converged_checked_against_exact_gradient(self, seed):
+        view = sample_view(HookedPowerLawParams(3.0, 10.0), 500, seed)
+        fit = fit_hooked(view)
+        exact = projected_hooked_gradient(fit.params, view)
+        assert abs(fit.gradient_norm_at_exit - exact) < 1e-9
+        assert exact < HOOKED_GRAD_TOL
+
+    def test_large_sample_converges(self):
+        view = sample_view(HookedPowerLawParams(3.0, 10.0), 200_000, seed=4)
+        fit = fit_hooked(view)
+        assert fit.converged
+        assert projected_hooked_gradient(fit.params, view) < HOOKED_GRAD_TOL
 
     def test_compensation_ridge_rank_correlation(self):
         # fitted alpha and B move together across replicates

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from citefit.dataset import CountDataset, truncate
 from citefit.errors import NonNormalizableError, ParameterError, SupportError
+from citefit.fitting import ks_distance
 from citefit.kernels import (
     DiscreteDistribution,
     DiscreteLognormalParams,
@@ -177,6 +180,22 @@ class TestCcdf:
         dist = DiscreteDistribution(HookedPowerLawParams(3.0, 5.0), 2)
         xs = np.arange(2, 50)
         assert np.allclose(dist.ccdf(xs) - dist.ccdf(xs + 1), dist.pmf(xs), atol=1e-12)
+
+    def test_far_beyond_window_in_bounded_memory(self):
+        # the pmf sums to one over the window, so the ccdf beyond it needs no table
+        dist = DiscreteDistribution(PowerLawParams(1.5), 3)
+        far = dist.x_min + 10**7
+        view = truncate(CountDataset((3, 4, 4, 9, far)), 3)
+        tracemalloc.start()
+        try:
+            tail = dist.ccdf(far)
+            distance = ks_distance(dist, view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert tail == dist.ccdf(dist.x_min + NORMALIZATION_TERMS)
+        assert 0.0 <= distance <= 1.0
 
 
 class TestSampler:
