@@ -152,7 +152,7 @@ def cmd_scan(args):
     candidates = (
         [int(v) for v in parse_axis(args.x_min_range)]
         if args.x_min_range
-        else sorted(set(data.counts))
+        else data.values.tolist()
     )
     result = scan_x_min(data, args.dist, candidates)
     entries = []
@@ -208,7 +208,7 @@ def cmd_analyze(args):
         candidates = (
             [int(v) for v in parse_axis(args.x_min_range)]
             if args.x_min_range
-            else sorted(set(data.counts))
+            else data.values.tolist()
         )
         x_min = scan_x_min(data, args.scan_dist, candidates).best_x_min
     else:
@@ -275,8 +275,7 @@ def cmd_analyze(args):
 
 def cmd_sample(args):
     dist = DiscreteDistribution(_build_params(args), args.x_min)
-    values = [int(v) for v in dist.sample(args.n, args.seed)]
-    return values, [{"value": v} for v in values]
+    return _integer_column("value", dist.sample(args.n, args.seed), args.format)
 
 
 def cmd_ci_study(args):
@@ -453,8 +452,8 @@ def _sanitize(obj):
     return obj
 
 
-def _emit(payload, rows, args):
-    if args.format == "json":
+def _render(payload, rows, fmt: str) -> str:
+    if fmt == "json":
         text = json.dumps(_sanitize(payload), indent=2, allow_nan=False) + "\n"
     else:
         rows = [_sanitize(r) for r in rows]
@@ -468,8 +467,23 @@ def _emit(payload, rows, args):
         writer.writeheader()
         writer.writerows(rows)
         text = buffer.getvalue()
-    if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
+    return text
+
+
+def _integer_column(name: str, values, fmt: str) -> str:
+    """A nonempty integer array rendered as ``_render`` would render it, in one join.
+
+    JSON: the bare list, ``indent=2``; CSV: a one-column table headed ``name``.
+    """
+    items = map(str, values.tolist())
+    if fmt == "json":
+        return "[\n  " + ",\n  ".join(items) + "\n]\n"
+    return name + "\r\n" + "\r\n".join(items) + "\r\n"
+
+
+def _emit(text: str, output):
+    if output:
+        with open(output, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -479,8 +493,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        payload, rows = args.handler(args)
-        _emit(payload, rows, args)
+        result = args.handler(args)  # (payload, rows), or text rendered by the handler
+        _emit(result if isinstance(result, str) else _render(*result, args.format), args.output)
         return EXIT_OK
     except CitefitError as exc:
         _diag(f"error: {exc}")

@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dataset import TruncatedView
 from .errors import InternalConsistencyError, UsageError
 from .fitting import FitResult
@@ -75,7 +73,8 @@ def vuong_test(fit_a: FitResult, fit_b: FitResult, data: TruncatedView) -> Compa
     z = (sum of pointwise log-likelihood differences - K) / (sqrt(n) * s)
     with K = ((p_a - p_b)/2) * ln(n) and s the sample standard deviation
     of the pointwise differences. Positive z favors ``fit_a``; the
-    verdict is two-sided at |z| >= 1.96.
+    verdict is two-sided at |z| >= 1.96. Each difference is evaluated
+    once per distinct value and weighted by its multiplicity.
 
     If the two models are pointwise identical on the data (s = 0), the
     outcome is flagged degenerate and reported indistinguishable.
@@ -84,10 +83,14 @@ def vuong_test(fit_a: FitResult, fit_b: FitResult, data: TruncatedView) -> Compa
         raise UsageError("Vuong test requires both fits and data to share one x_min")
     if fit_a.n_tail != data.n_tail or fit_b.n_tail != data.n_tail:
         raise UsageError("Vuong test requires both fits to cover the same data")
-    values = np.asarray(data.retained, dtype=np.int64)
     n = data.n_tail
-    pointwise = fit_a.dist.log_pmf(values) - fit_b.dist.log_pmf(values)
-    spread = float(np.std(pointwise, ddof=1)) if n > 1 else 0.0
+    weights = data.multiplicities
+    pointwise = fit_a.dist.log_pmf(data.values) - fit_b.dist.log_pmf(data.values)
+    total = float(weights @ pointwise)
+    spread = 0.0
+    if n > 1 and pointwise.min() != pointwise.max():
+        deviation = pointwise - total / n
+        spread = math.sqrt(float(weights @ (deviation * deviation)) / (n - 1))
     if spread == 0.0:
         return ComparisonOutcome(
             kind="vuong",
@@ -99,7 +102,7 @@ def vuong_test(fit_a: FitResult, fit_b: FitResult, data: TruncatedView) -> Compa
             degenerate=True,
         )
     correction = 0.5 * (free_parameters(fit_a.params) - free_parameters(fit_b.params)) * math.log(n)
-    z = (float(pointwise.sum()) - correction) / (math.sqrt(n) * spread)
+    z = (total - correction) / (math.sqrt(n) * spread)
     if z >= VUONG_THRESHOLD_05:
         better = FIRST
     elif z <= -VUONG_THRESHOLD_05:

@@ -1,9 +1,17 @@
 """Ingestion, validation, and truncation of citation-count datasets.
 
-Counts are per-article citation tallies: positive integers, unordered
-beyond their file order. Zero counts (uncited articles) are dropped at
-load time but tallied, so reports can state how many were excluded.
-Datasets are immutable after construction and safe to share.
+Counts are per-article citation tallies: positive integers below 2**63,
+unordered beyond their file order. Zero counts (uncited articles) are
+dropped at load time but tallied, so reports can state how many were
+excluded.
+
+A dataset is held as one sorted histogram, built once: the distinct
+values and their multiplicities, as read-only ``int64`` arrays. Every
+statistic the package computes depends only on the multiset, so the
+fitters, tests and scans read the histogram, and a truncation is an
+offset into it (a ``searchsorted``), never a copy. The per-row views,
+``counts`` and ``retained`` in file order, are built only when a caller
+reads them. Datasets are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -11,8 +19,10 @@ from __future__ import annotations
 import csv
 import io
 import os
-from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+
+import numpy as np
 
 from .errors import EmptyDatasetError, EmptyTailError, ParseError, UsageError
 
@@ -20,47 +30,101 @@ PLAIN = "plain"
 CSV = "csv"
 CSV_COLUMN = "citations"
 
+#: Counts must be below this bound to be held as ``int64``.
+COUNT_LIMIT = 2**63
 
-@dataclass(frozen=True)
+
 class CountDataset:
-    """A multiset of positive citation counts with provenance metadata."""
+    """A multiset of positive citation counts with provenance metadata.
 
-    counts: tuple[int, ...]
-    source_label: str = ""
-    zeros_dropped: int = 0
+    ``counts`` may be any one-dimensional sequence or array of integers
+    (integral floats are accepted); it is copied. ``values`` and
+    ``multiplicities`` are the sorted histogram the library reads;
+    ``counts`` gives the rows back in their original order.
+    """
 
-    def __post_init__(self):
-        if len(self.counts) == 0:
+    def __init__(self, counts, source_label: str = "", zeros_dropped: int = 0):
+        rows = _as_int64(counts)
+        if rows.size == 0:
             raise EmptyDatasetError("dataset has no counts")
-        if any(c < 1 for c in self.counts):
+        values, multiplicities = np.unique(rows, return_counts=True)
+        if values[0] < 1:
             raise UsageError("counts must be positive integers")
+        multiplicities = multiplicities.astype(np.int64, copy=False)
+        for arr in (rows, values, multiplicities):
+            arr.flags.writeable = False
+        self._rows = rows
+        self.values = values
+        self.multiplicities = multiplicities
+        self.source_label = source_label
+        self.zeros_dropped = zeros_dropped
 
     @property
     def n(self) -> int:
-        return len(self.counts)
+        return self._rows.size
+
+    @cached_property
+    def counts(self) -> tuple[int, ...]:
+        """The counts as Python ints, in their original order."""
+        return tuple(self._rows.tolist())
+
+
+def _as_int64(counts) -> np.ndarray:
+    """A copy of ``counts`` as ``int64``; UsageError for anything but integers below 2**63."""
+    arr = np.array(counts)
+    if arr.ndim != 1:
+        raise UsageError("counts must be a one-dimensional sequence")
+    kind = arr.dtype.kind
+    if kind == "f":
+        if not np.all(np.isfinite(arr) & (np.floor(arr) == arr)):
+            raise UsageError("counts must be integers, got a non-integral value")
+        if arr.size and arr.max() >= float(COUNT_LIMIT):
+            raise UsageError(f"counts must be below 2**63, got {arr.max():.6g}")
+    elif kind not in "biu":  # Python ints beyond int64 give an object array
+        raise UsageError("counts must be integers below 2**63")
+    # uint64 values >= 2**63 wrap to negative here and fail the positivity check
+    return arr.astype(np.int64)
 
 
 @dataclass(frozen=True)
 class TruncatedView:
-    """The sub-multiset of a dataset at or above a truncation point."""
+    """The sub-multiset of a dataset at or above a truncation point.
+
+    ``values`` and ``multiplicities`` are slices of the dataset's
+    histogram starting at the first value ``>= x_min``.
+    """
 
     base: CountDataset
     x_min: int
-    retained: tuple[int, ...] = field(init=False)
+    start: int = field(init=False, repr=False)
+    n_tail: int = field(init=False)
 
     def __post_init__(self):
         if self.x_min < 1:
             raise UsageError(f"x_min must be >= 1, got {self.x_min}")
-        kept = tuple(c for c in self.base.counts if c >= self.x_min)
-        if not kept:
+        start = int(np.searchsorted(self.base.values, self.x_min, side="left"))
+        if start == self.base.values.size:
             raise EmptyTailError(
-                f"no counts >= {self.x_min} (max observed {max(self.base.counts)})"
+                f"no counts >= {self.x_min} (max observed {self.base.values[-1]})"
             )
-        object.__setattr__(self, "retained", kept)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "n_tail", int(self.base.multiplicities[start:].sum()))
 
     @property
-    def n_tail(self) -> int:
-        return len(self.retained)
+    def values(self) -> np.ndarray:
+        """Distinct retained values, ascending."""
+        return self.base.values[self.start:]
+
+    @property
+    def multiplicities(self) -> np.ndarray:
+        """How often each of ``values`` occurs."""
+        return self.base.multiplicities[self.start:]
+
+    @cached_property
+    def retained(self) -> tuple[int, ...]:
+        """The retained counts as Python ints, in the dataset's order."""
+        rows = self.base._rows
+        return tuple(rows[rows >= self.x_min].tolist())
 
 
 def load_counts(path, fmt: str = PLAIN, source_label: str | None = None) -> CountDataset:
@@ -73,7 +137,8 @@ def load_counts(path, fmt: str = PLAIN, source_label: str | None = None) -> Coun
     fmt : {"plain", "csv"}
         ``plain``: one nonnegative base-10 integer per line, optional
         trailing newline. ``csv``: RFC-4180 with a header row and a
-        column named ``citations``.
+        column named ``citations``. A line is read as Python's ``int()``
+        reads it.
     source_label : str, optional
         Provenance label; defaults to the file's base name.
 
@@ -85,7 +150,8 @@ def load_counts(path, fmt: str = PLAIN, source_label: str | None = None) -> Coun
     Raises
     ------
     ParseError
-        Non-integer or negative entry, naming the offending line.
+        Non-integer, negative or too large (>= 2**63) entry, naming the
+        offending line.
     EmptyDatasetError
         File contains no positive counts.
     """
@@ -95,24 +161,33 @@ def load_counts(path, fmt: str = PLAIN, source_label: str | None = None) -> Coun
     if fmt == PLAIN:
         raw = _parse_plain(text)
     elif fmt == CSV:
-        raw = _parse_csv(text)
+        raw = np.array(_parse_csv(text), dtype=np.int64)
     else:
         raise UsageError(f"unknown format {fmt!r}")
-    counts = tuple(c for c in raw if c > 0)
-    zeros = len(raw) - len(counts)
-    if not counts:
+    counts = raw[raw > 0]
+    zeros = raw.size - counts.size
+    if counts.size == 0:
         raise EmptyDatasetError(f"{label}: no positive counts after dropping {zeros} zero(s)")
-    return CountDataset(counts=counts, source_label=label, zeros_dropped=zeros)
+    return CountDataset(counts, source_label=label, zeros_dropped=zeros)
 
 
-def _parse_plain(text: str) -> list[int]:
-    values = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if line.strip() == "":
-            continue  # blank lines (incl. trailing newline) carry no value
-        values.append(_parse_count(line, lineno))
-    if not values:
+def _parse_plain(text: str) -> np.ndarray:
+    lines = text.split("\n")
+    tokens = list(filter(str.strip, lines))  # blank lines (incl. trailing newline) carry no value
+    if not tokens:
         raise EmptyDatasetError("file contains no values")
+    try:
+        # one cast: numpy converts each token with int(), so the grammar is int()'s
+        values = np.array(tokens, dtype=object).astype(np.int64)
+    except (ValueError, OverflowError):
+        values = None
+    if values is None or values.min() < 0:
+        # a bad token: parse line by line to name the first offending line
+        values = np.array(
+            [_parse_count(line, lineno)
+             for lineno, line in enumerate(lines, start=1) if line.strip()],
+            dtype=np.int64,
+        )
     return values
 
 
@@ -135,6 +210,8 @@ def _parse_count(token: str, lineno: int) -> int:
         raise ParseError(f"not an integer: {token.strip()!r}", line_number=lineno) from None
     if value < 0:
         raise ParseError(f"negative count: {value}", line_number=lineno)
+    if value >= COUNT_LIMIT:
+        raise ParseError(f"count too large (>= 2**63): {value}", line_number=lineno)
     return value
 
 
@@ -151,10 +228,5 @@ def tail_ccdf(view: TruncatedView) -> list[tuple[int, float]]:
     probabilities are non-increasing.
     """
     n = view.n_tail
-    multiplicity = Counter(view.retained)
-    pairs = []
-    at_or_above = n
-    for v in sorted(multiplicity):
-        pairs.append((v, at_or_above / n))
-        at_or_above -= multiplicity[v]
-    return pairs
+    below = np.cumsum(view.multiplicities) - view.multiplicities
+    return list(zip(view.values.tolist(), ((n - below) / n).tolist()))

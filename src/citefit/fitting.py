@@ -115,14 +115,13 @@ class _TailStats:
     """Sufficient statistics of a truncated sample, shared by the fitters."""
 
     def __init__(self, view: TruncatedView):
-        values, counts = np.unique(np.asarray(view.retained, dtype=float), return_counts=True)
-        self.values = values
-        self.counts = counts.astype(float)
+        self.values = view.values.astype(float)
+        self.counts = view.multiplicities.astype(float)
         self.n = view.n_tail
         self.x_min = view.x_min
         self.window = np.arange(view.x_min, view.x_min + NORMALIZATION_TERMS, dtype=float)
         self.log_window = np.log(self.window)
-        self.log_values = np.log(values)
+        self.log_values = np.log(self.values)
 
     @property
     def degenerate(self) -> bool:
@@ -131,11 +130,10 @@ class _TailStats:
 
 def neg_log_likelihood(params: ParamSpec, x_min: int, data: TruncatedView) -> float:
     """Negative log-likelihood of ``data`` under the kernel truncated at ``x_min``."""
-    if any(v < x_min for v in data.retained):
+    if data.values[0] < x_min:
         raise UsageError("data contains values below the requested x_min")
     dist = DiscreteDistribution(params, x_min)
-    values, counts = np.unique(np.asarray(data.retained, dtype=np.int64), return_counts=True)
-    return float(-(counts @ dist.log_pmf(values)))
+    return float(-(data.multiplicities @ dist.log_pmf(data.values)))
 
 
 def fit_power_law(data: TruncatedView) -> FitResult:
@@ -433,9 +431,8 @@ def ks_distance(dist: DiscreteDistribution, data: TruncatedView) -> float:
 
     Evaluated at the distinct observed values, the standard discrete form.
     """
-    values, counts = np.unique(np.asarray(data.retained, dtype=np.int64), return_counts=True)
-    ecdf = np.cumsum(counts) / data.n_tail
-    model_cdf = 1.0 - dist.ccdf(values + 1)
+    ecdf = np.cumsum(data.multiplicities) / data.n_tail
+    model_cdf = 1.0 - dist.ccdf(data.values + 1)
     return float(np.abs(ecdf - model_cdf).max())
 
 

@@ -171,7 +171,7 @@ def ci_width_study(
         else:
             gen = DiscreteDistribution(PowerLawParams(alphas[i]), x_min)
         sample = gen.sample(sizes[j], replicate_seed(seed, i, j, r))
-        view = truncate(CountDataset(tuple(int(v) for v in sample)), x_min)
+        view = truncate(CountDataset(sample), x_min)
         try:
             fit = fit_hooked(view) if kind == "hooked" else fit_power_law(view)
         except DegenerateDataError:
@@ -211,7 +211,7 @@ def lognormal_ci_study(
     def run_one(i, j, r):
         gen = DiscreteDistribution(DiscreteLognormalParams(mus[i], sigmas[j]), x_min)
         sample = gen.sample(n, replicate_seed(seed, i, j, r))
-        view = truncate(CountDataset(tuple(int(v) for v in sample)), x_min)
+        view = truncate(CountDataset(sample), x_min)
         try:
             fit = fit_lognormal(view)
         except DegenerateDataError:
@@ -362,7 +362,7 @@ def ridge_demo(
     truth = HookedPowerLawParams(true_alpha, true_B)
     gen = DiscreteDistribution(truth, 1)
     sample = gen.sample(n, replicate_seed(seed, 0))
-    view = truncate(CountDataset(tuple(int(v) for v in sample)), 1)
+    view = truncate(CountDataset(sample), 1)
     fit = fit_hooked(view)
     neg_ll_true = neg_log_likelihood(truth, 1, view)
     neg_ll_fitted = fit.neg_log_likelihood

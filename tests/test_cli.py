@@ -81,6 +81,26 @@ class TestSample:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    @pytest.mark.parametrize("n", [1, 2, 257])
+    def test_golden_bytes(self, tmp_path, capsys, n):
+        # the bytes json.dumps(indent=2) and csv.DictWriter give for these draws
+        draws = DiscreteDistribution(HookedPowerLawParams(2.2, 4.0), 2).sample(n, 8)
+        values = [int(v) for v in draws]
+        buffer = io.StringIO()
+        writer = csv.DictWriter(buffer, fieldnames=["value"])
+        writer.writeheader()
+        writer.writerows({"value": v} for v in values)
+        expected = {"json": json.dumps(values, indent=2) + "\n", "csv": buffer.getvalue()}
+        args = ("sample", "--dist", "hooked", "--alpha", "2.2", "--B", "4", "--x-min", "2",
+                "-n", str(n), "--seed", "8")
+        for fmt, text in expected.items():
+            code, out, _ = main_output(capsys, *args, "--format", fmt)
+            assert code == 0
+            assert out == text
+            out_path = tmp_path / f"sample.{fmt}"
+            assert main([*args, "--format", fmt, "--output", str(out_path)]) == 0
+            assert out_path.read_bytes() == text.encode("utf-8")
+
     def test_missing_params_usage_error(self, capsys):
         code, _, err = main_output(capsys, "sample", "--dist", "ln", "-n", "3")
         assert code == 1
@@ -113,6 +133,15 @@ class TestFitCommand:
         code, _, err = main_output(capsys, "fit", "--input", str(path), "--dist", "pl")
         assert code == 3
         assert "error" in err
+
+    def test_count_beyond_int64_is_parse_error(self, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("1\n2\n3\n100000000000000000000\n", encoding="utf-8")
+        r = run_cli("fit", "--input", str(path), "--dist", "pl")
+        assert r.returncode == 2
+        assert r.stdout == ""
+        assert "line 4" in r.stderr
+        assert "Traceback" not in r.stderr
 
     def test_output_file(self, tmp_path):
         path = write_counts(tmp_path, PowerLawParams(2.5), 200, seed=3)

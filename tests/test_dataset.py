@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
-from citefit.dataset import CountDataset, load_counts, tail_ccdf, truncate
-from citefit.errors import EmptyDatasetError, EmptyTailError, ParseError
+from citefit.dataset import CountDataset, _parse_count, load_counts, tail_ccdf, truncate
+from citefit.errors import EmptyDatasetError, EmptyTailError, ParseError, UsageError
 from citefit.kernels import DiscreteDistribution, HookedPowerLawParams
 
 
@@ -58,6 +59,80 @@ class TestLoadCounts:
     def test_order_preserved(self, tmp_path):
         ds = load_counts(write(tmp_path, "j.txt", "9\n1\n0\n5"), "plain")
         assert ds.counts == (9, 1, 5)
+
+
+def reference_load(text):
+    """Per-token parse of a plain file with ``_parse_count``: (counts, zeros) or the error."""
+    values = []
+    try:
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            if line.strip() != "":
+                values.append(_parse_count(line, lineno))
+    except ParseError as exc:
+        return exc
+    return tuple(v for v in values if v > 0), sum(v == 0 for v in values)
+
+
+class TestParserEquivalence:
+    TOKENS = ["+3", "1_0", " 2 ", "\u0663", "-0", "1.0", "0x10", "-1",
+              str(2**63 - 1), str(2**63), str(10**20), "-" + str(2**70)]
+    TEXTS = (
+        [f"5\n{token}\n7\n" for token in TOKENS]
+        + ["5\r\n+3\r\n0\r\n7\r\n", "\n\n5\n \n\t\n7\n\n", "4\n\n-1\nfoo\n",
+           "4\r\n1.0\r\n"]
+    )
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_matches_per_token_parse(self, tmp_path, text):
+        expected = reference_load(text)
+        path = write(tmp_path, "p.txt", text)
+        if isinstance(expected, ParseError):
+            with pytest.raises(ParseError) as info:
+                load_counts(path, "plain")
+            assert info.value.line_number == expected.line_number
+            assert str(info.value) == str(expected)
+        else:
+            ds = load_counts(path, "plain")
+            assert (ds.counts, ds.zeros_dropped) == expected
+
+    def test_int_grammar(self, tmp_path):
+        ds = load_counts(write(tmp_path, "q.txt", "+3\n1_0\n 2 \n\u0663\n-0\n"), "plain")
+        assert ds.counts == (3, 10, 2, 3)
+        assert ds.zeros_dropped == 1
+
+    @pytest.mark.parametrize("token", ["1.0", "0x10", str(2**63)])
+    def test_rejected_in_csv_too(self, tmp_path, token):
+        with pytest.raises(ParseError, match="line 3"):
+            load_counts(write(tmp_path, "r.csv", f"citations\n4\n{token}\n"), "csv")
+
+
+class TestCountDataset:
+    def test_non_integral_rejected(self):
+        with pytest.raises(UsageError, match="integ"):
+            CountDataset((2.5, 3, 7, 1.5))
+        with pytest.raises(UsageError):
+            CountDataset(np.array([1.0, np.nan]))
+
+    def test_integral_floats_accepted(self):
+        assert CountDataset((3.0, 1, 4.0)).counts == (3, 1, 4)
+
+    @pytest.mark.parametrize("counts", [(1, 2**70), (2**63,), (float(2**63),), ("3",)])
+    def test_outside_int64_rejected(self, counts):
+        with pytest.raises(UsageError):
+            CountDataset(counts)
+
+    def test_histogram_sorted_and_read_only(self):
+        ds = CountDataset(np.array([5, 1, 5, 3, 1, 5]))
+        assert ds.values.tolist() == [1, 3, 5]
+        assert ds.multiplicities.tolist() == [2, 1, 3]
+        assert ds.counts == (5, 1, 5, 3, 1, 5)
+        assert not ds.values.flags.writeable and not ds.multiplicities.flags.writeable
+
+    def test_copies_its_input(self):
+        source = np.array([2, 4, 4])
+        ds = CountDataset(source)
+        source[0] = 9
+        assert ds.counts == (2, 4, 4)
 
 
 class TestTruncate:
