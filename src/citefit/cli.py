@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -32,16 +33,10 @@ from .errors import (
     UsageError,
 )
 from .fitting import FitResult, fit_kind, scan_x_min
-from .kernels import (
-    DiscreteDistribution,
-    DiscreteLognormalParams,
-    HookedPowerLawParams,
-    ParamSpec,
-    PowerLawParams,
-)
+from .kernels import FAMILIES, DiscreteDistribution, ParamSpec
 
 DEFAULT_SEED = 42
-KINDS = ("pl", "ln", "hooked")
+KINDS = tuple(FAMILIES)  # ("pl", "ln", "hooked")
 
 #: Full-protocol defaults for the precision studies, plus a desk-scale preset.
 FULL_REPLICATES = 500
@@ -84,25 +79,13 @@ def parse_axis(text: str) -> list[float]:
 
 
 def _build_params(args) -> ParamSpec:
-    if args.dist == "pl":
-        if args.alpha is None:
-            raise UsageError("--alpha is required for the power law")
-        return PowerLawParams(args.alpha)
-    if args.dist == "hooked":
-        if args.alpha is None:
-            raise UsageError("--alpha is required for the hooked power law")
-        return HookedPowerLawParams(args.alpha, args.B)
-    if args.mu is None or args.sigma is None:
-        raise UsageError("--mu and --sigma are required for the lognormal")
-    return DiscreteLognormalParams(args.mu, args.sigma)
-
-
-def _params_fields(params: ParamSpec) -> dict:
-    if isinstance(params, PowerLawParams):
-        return {"alpha": params.alpha}
-    if isinstance(params, HookedPowerLawParams):
-        return {"alpha": params.alpha, "B": params.B}
-    return {"mu": params.mu, "sigma": params.sigma}
+    """The ``--dist`` family's parameters, one option per field."""
+    family = FAMILIES[args.dist]
+    names = [f.name for f in dataclasses.fields(family)]
+    missing = [f"--{name}" for name in names if getattr(args, name) is None]
+    if missing:
+        raise UsageError(f"{' and '.join(missing)} required for --dist {args.dist}")
+    return family(*(getattr(args, name) for name in names))
 
 
 def _fit_report(kind: str, fit: FitResult) -> dict:
@@ -110,7 +93,7 @@ def _fit_report(kind: str, fit: FitResult) -> dict:
         "kind": kind,
         "x_min": fit.x_min,
         "n_tail": fit.n_tail,
-        "params": _params_fields(fit.params),
+        "params": dataclasses.asdict(fit.params),
         "neg_log_likelihood": fit.neg_log_likelihood,
         "converged": fit.converged,
         "iterations": fit.iterations,
@@ -470,15 +453,25 @@ def _render(payload, rows, fmt: str) -> str:
     return text
 
 
-def _integer_column(name: str, values, fmt: str) -> str:
-    """A nonempty integer array rendered as ``_render`` would render it, in one join.
+#: Values rendered per block by ``_integer_column``.
+_COLUMN_BLOCK = 65_536
 
-    JSON: the bare list, ``indent=2``; CSV: a one-column table headed ``name``.
+
+def _integer_column(name: str, values, fmt: str) -> str:
+    """A nonempty integer array rendered as ``_render`` would render it.
+
+    JSON: the bare list, ``indent=2``; CSV: a one-column table headed
+    ``name``. Values are joined a block at a time and the blocks then
+    joined, so at most one block's ints and strings are alive at once.
     """
-    items = map(str, values.tolist())
+    sep = ",\n  " if fmt == "json" else "\r\n"
+    body = sep.join(
+        sep.join(map(str, values[i:i + _COLUMN_BLOCK].tolist()))
+        for i in range(0, len(values), _COLUMN_BLOCK)
+    )
     if fmt == "json":
-        return "[\n  " + ",\n  ".join(items) + "\n]\n"
-    return name + "\r\n" + "\r\n".join(items) + "\r\n"
+        return "[\n  " + body + "\n]\n"
+    return name + "\r\n" + body + "\r\n"
 
 
 def _emit(text: str, output):

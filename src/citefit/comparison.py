@@ -16,17 +16,12 @@ invariant to dataset ordering, and are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .dataset import TruncatedView
 from .errors import InternalConsistencyError, UsageError
 from .fitting import FitResult
-from .kernels import (
-    DiscreteLognormalParams,
-    HookedPowerLawParams,
-    ParamSpec,
-    PowerLawParams,
-)
+from .kernels import HookedPowerLawParams, PowerLawParams
 
 FIRST = "first"
 SECOND = "second"
@@ -59,20 +54,13 @@ class ComparisonOutcome:
         return self.better != INDISTINGUISHABLE
 
 
-def free_parameters(params: ParamSpec) -> int:
-    if isinstance(params, PowerLawParams):
-        return 1
-    if isinstance(params, (HookedPowerLawParams, DiscreteLognormalParams)):
-        return 2
-    raise UsageError(f"unknown parameter spec {params!r}")
-
-
 def vuong_test(fit_a: FitResult, fit_b: FitResult, data: TruncatedView) -> ComparisonOutcome:
     """Vuong closeness test between two fits on the same truncated data.
 
     z = (sum of pointwise log-likelihood differences - K) / (sqrt(n) * s)
-    with K = ((p_a - p_b)/2) * ln(n) and s the sample standard deviation
-    of the pointwise differences. Positive z favors ``fit_a``; the
+    with K = ((p_a - p_b)/2) * ln(n), p the number of fields of each fit's
+    parameter class, and s the sample standard deviation of the pointwise
+    differences. Positive z favors ``fit_a``; the
     verdict is two-sided at |z| >= 1.96. Each difference is evaluated
     once per distinct value and weighted by its multiplicity.
 
@@ -101,7 +89,7 @@ def vuong_test(fit_a: FitResult, fit_b: FitResult, data: TruncatedView) -> Compa
             n=n,
             degenerate=True,
         )
-    correction = 0.5 * (free_parameters(fit_a.params) - free_parameters(fit_b.params)) * math.log(n)
+    correction = 0.5 * (len(fields(fit_a.params)) - len(fields(fit_b.params))) * math.log(n)
     z = (total - correction) / (math.sqrt(n) * spread)
     if z >= VUONG_THRESHOLD_05:
         better = FIRST

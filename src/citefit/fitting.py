@@ -34,10 +34,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize
-from scipy.special import logsumexp
 
 from .dataset import CountDataset, TruncatedView, truncate
-from .errors import DegenerateDataError, EmptyTailError, ScanError, UsageError
+from .errors import DegenerateDataError, EmptyTailError, ParameterError, ScanError, UsageError
 from .kernels import (
     ALPHA_MAX,
     ALPHA_MIN,
@@ -53,6 +52,7 @@ from .kernels import (
     PowerLawParams,
     SIGMA_MAX,
     SIGMA_MIN,
+    log_sum_exp,
 )
 
 #: Minimum tail sizes for the fitters and the truncation scan.
@@ -118,10 +118,7 @@ class _TailStats:
         self.values = view.values.astype(float)
         self.counts = view.multiplicities.astype(float)
         self.n = view.n_tail
-        self.x_min = view.x_min
         self.window = np.arange(view.x_min, view.x_min + NORMALIZATION_TERMS, dtype=float)
-        self.log_window = np.log(self.window)
-        self.log_values = np.log(self.values)
 
     @property
     def degenerate(self) -> bool:
@@ -134,6 +131,21 @@ def neg_log_likelihood(params: ParamSpec, x_min: int, data: TruncatedView) -> fl
         raise UsageError("data contains values below the requested x_min")
     dist = DiscreteDistribution(params, x_min)
     return float(-(data.multiplicities @ dist.log_pmf(data.values)))
+
+
+def _fit_result(params: ParamSpec, data: TruncatedView, converged: bool,
+                iterations: int, gradient_norm: float) -> FitResult:
+    """The ``FitResult`` at ``params``; one distribution serves the result and its NLL."""
+    dist = DiscreteDistribution(params, data.x_min)
+    return FitResult(
+        dist=dist,
+        neg_log_likelihood=float(-(data.multiplicities @ dist.log_pmf(data.values))),
+        n_tail=data.n_tail,
+        x_min=data.x_min,
+        converged=converged,
+        iterations=iterations,
+        gradient_norm_at_exit=gradient_norm,
+    )
 
 
 def fit_power_law(data: TruncatedView) -> FitResult:
@@ -151,16 +163,8 @@ def fit_power_law(data: TruncatedView) -> FitResult:
             "power-law fit needs at least two points and two distinct values"
         )
     point = _alpha_at(stats, 0.0)
-    params = PowerLawParams(point.alpha)
-    return FitResult(
-        dist=DiscreteDistribution(params, data.x_min),
-        neg_log_likelihood=neg_log_likelihood(params, data.x_min, data),
-        n_tail=stats.n,
-        x_min=data.x_min,
-        converged=not point.pinned,
-        iterations=point.iterations,
-        gradient_norm_at_exit=abs(point.grad[0]),
-    )
+    return _fit_result(PowerLawParams(point.alpha), data, not point.pinned,
+                       point.iterations, abs(point.grad[0]))
 
 
 class _ProfilePoint(NamedTuple):
@@ -235,30 +239,20 @@ def _alpha_at(stats: _TailStats, b: float) -> _ProfilePoint:
     )
 
 
-def _lognormal_objective(stats: _TailStats):
-    log_win = stats.log_window
-    log_vals = stats.log_values
-    counts = stats.counts
-    n = stats.n
-    const = 0.5 * math.log(2.0 * math.pi)
+def _objective(theta, stats: _TailStats):
+    """Lognormal NLL and its gradient at ``theta = (mu, sigma)``.
 
-    def fun(theta):
-        mu, sigma = theta
-        zw = (log_win - mu) / sigma
-        logw = -log_win - math.log(sigma) - const - 0.5 * zw * zw
-        log_z = float(logsumexp(logw))
-        p = np.exp(logw - log_z)  # normalized window weights
-        zv = (log_vals - mu) / sigma
-        value = float(
-            counts @ (log_vals + math.log(sigma) + const + 0.5 * zv * zv) + n * log_z
-        )
-        d_mu = float(-(counts @ zv) / sigma + n * (p @ zw) / sigma)
-        d_sigma = float(
-            counts @ (1.0 / sigma - zv * zv / sigma) + n * (p @ (zw * zw - 1.0)) / sigma
-        )
-        return value, np.array([d_mu, d_sigma])
-
-    return fun
+    Evaluates the parameter class's own log-weight and gradient, on the
+    window (normalizer) and on the observed values (data term).
+    """
+    params = DiscreteLognormalParams(*theta)
+    logw = params.log_weight(stats.window)
+    log_z = log_sum_exp(logw)
+    p = np.exp(logw - log_z)  # normalized window weights
+    value = stats.n * log_z - float(stats.counts @ params.log_weight(stats.values))
+    grad = (stats.n * (params.log_weight_gradient(stats.window) @ p)
+            - params.log_weight_gradient(stats.values) @ stats.counts)
+    return value, grad
 
 
 def fit_lognormal(data: TruncatedView) -> FitResult:
@@ -275,15 +269,15 @@ def fit_lognormal(data: TruncatedView) -> FitResult:
     if stats.degenerate:
         raise DegenerateDataError("lognormal fit needs at least two distinct values")
 
-    logs = np.repeat(stats.log_values, stats.counts.astype(int))
+    logs = np.repeat(np.log(stats.values), data.multiplicities)
     mu0 = float(np.clip(logs.mean(), MU_MIN, MU_MAX))
     sigma0 = float(np.clip(logs.std(), max(SIGMA_MIN, 1e-3), SIGMA_MAX))
     bounds = [(MU_MIN, MU_MAX), (SIGMA_MIN, SIGMA_MAX)]
 
-    fun = _lognormal_objective(stats)
     res = minimize(
-        fun,
+        _objective,
         np.array([mu0, sigma0]),
+        args=(stats,),
         jac=True,
         method="L-BFGS-B",
         bounds=bounds,
@@ -293,21 +287,14 @@ def fit_lognormal(data: TruncatedView) -> FitResult:
             "ftol": 0.0,
         },
     )
-    theta, grad, polish_steps = _newton_polish(fun, res.x, res.jac, bounds)
+    theta, grad, polish_steps = _newton_polish(stats, res.x, res.jac, bounds)
     grad_norm = _projected_gradient_norm(theta, grad, bounds)
-    params = DiscreteLognormalParams(float(theta[0]), float(theta[1]))
-    return FitResult(
-        dist=DiscreteDistribution(params, data.x_min),
-        neg_log_likelihood=neg_log_likelihood(params, data.x_min, data),
-        n_tail=stats.n,
-        x_min=data.x_min,
-        converged=bool(grad_norm < LOGNORMAL_GRAD_TOL),
-        iterations=int(res.nit) + polish_steps,
-        gradient_norm_at_exit=float(grad_norm),
-    )
+    return _fit_result(DiscreteLognormalParams(float(theta[0]), float(theta[1])), data,
+                       bool(grad_norm < LOGNORMAL_GRAD_TOL), int(res.nit) + polish_steps,
+                       float(grad_norm))
 
 
-def _newton_polish(fun, theta, grad, bounds, max_steps=8):
+def _newton_polish(stats: _TailStats, theta, grad, bounds, max_steps=8):
     """Drive the gradient the last stretch to zero with full Newton steps.
 
     L-BFGS-B stops once f-progress reaches rounding noise, which can
@@ -326,21 +313,20 @@ def _newton_polish(fun, theta, grad, bounds, max_steps=8):
         if gnorm < LOGNORMAL_GRAD_TOL / 10.0:
             break
         hessian = np.empty((2, 2))
-        ok = True
-        for i in range(2):
-            h = 1e-6 * max(1.0, abs(theta[i]))
-            up, down = theta.copy(), theta.copy()
-            up[i] += h
-            down[i] -= h
-            hessian[:, i] = (fun(up)[1] - fun(down)[1]) / (2.0 * h)
         try:
+            for i in range(2):
+                h = 1e-6 * max(1.0, abs(theta[i]))
+                up, down = theta.copy(), theta.copy()
+                up[i] += h
+                down[i] -= h
+                hessian[:, i] = (_objective(up, stats)[1] - _objective(down, stats)[1]) / (2.0 * h)
             step = np.linalg.solve(hessian, -grad)
-        except np.linalg.LinAlgError:
-            ok = False
-        if not ok or not np.all(np.isfinite(step)):
+        except (np.linalg.LinAlgError, ParameterError):  # singular, or sigma stepped to 0
+            break
+        if not np.all(np.isfinite(step)):
             break
         candidate = np.clip(theta + step, lower, upper)
-        _, cand_grad = fun(candidate)
+        _, cand_grad = _objective(candidate, stats)
         if _projected_gradient_norm(candidate, cand_grad, bounds) >= gnorm:
             break
         theta, grad = candidate, cand_grad
@@ -399,16 +385,8 @@ def fit_hooked(data: TruncatedView) -> FitResult:
     bounds = [(_ALPHA_LO, ALPHA_MAX), (_B_LO, B_MAX)]
     theta = np.array([best.alpha, best.b])
     grad_norm = _projected_gradient_norm(theta, np.array(best.grad), bounds)
-    params = HookedPowerLawParams(best.alpha, best.b)
-    return FitResult(
-        dist=DiscreteDistribution(params, data.x_min),
-        neg_log_likelihood=neg_log_likelihood(params, data.x_min, data),
-        n_tail=stats.n,
-        x_min=data.x_min,
-        converged=bool(grad_norm < HOOKED_GRAD_TOL),
-        iterations=len(profiled),
-        gradient_norm_at_exit=grad_norm,
-    )
+    return _fit_result(HookedPowerLawParams(best.alpha, best.b), data,
+                       bool(grad_norm < HOOKED_GRAD_TOL), len(profiled), grad_norm)
 
 
 FITTERS: dict[str, Callable[[TruncatedView], FitResult]] = {
@@ -432,7 +410,9 @@ def ks_distance(dist: DiscreteDistribution, data: TruncatedView) -> float:
     Evaluated at the distinct observed values, the standard discrete form.
     """
     ecdf = np.cumsum(data.multiplicities) / data.n_tail
-    model_cdf = 1.0 - dist.ccdf(data.values + 1)
+    # the ccdf is constant past the window, and the clamp keeps ``+ 1`` from wrapping
+    window_end = dist.x_min + NORMALIZATION_TERMS
+    model_cdf = 1.0 - dist.ccdf(np.minimum(data.values, window_end) + 1)
     return float(np.abs(ecdf - model_cdf).max())
 
 

@@ -1,23 +1,29 @@
 """Discrete left-truncated heavy-tailed distribution kernels.
 
-Three families over integer support ``x >= x_min``:
+Three families over integer support ``x >= x_min``, one parameter class
+each. The class holds its family's formulas: ``log_weight(x)``, the
+``tail_integral(edge)`` of the continuous kernel, and ``heavy_tailed``.
 
-* power law, weight ``x**-alpha``
-* hooked power law, weight ``(B + x)**-alpha`` (reduces to the power law
-  at ``B = 0``)
-* discrete lognormal, weight given by the continuous lognormal density
-  evaluated at integers
+* :class:`HookedPowerLawParams`: weight ``(B + x)**-alpha``
+* :class:`PowerLawParams`: weight ``x**-alpha``, the hooked law at
+  ``B = 0``. It reuses the hooked formulas with a class constant
+  ``B = 0.0``, which gives the same values bit for bit.
+* :class:`DiscreteLognormalParams`: weight given by the continuous
+  lognormal density evaluated at integers. Only this class has a
+  ``log_weight_gradient(x)``: the lognormal fit descends on it, while the
+  power-law fits solve their score in closed form.
 
 Each family is normalized by dividing by the sum of its weights over the
 truncated integer support, approximated by the sum of the first 10,000
 terms starting at ``x_min``. That windowed sum is the probability-mass
 normalizer throughout (it keeps the objective smooth in the parameters
-and the windowed pmf summing to one exactly). For reporting, a
-tail-corrected constant is also computed which appends the midpoint
-integral of the continuous kernel beyond the window whenever the tail
-decays slowly (``alpha <= 2`` for the power laws, ``sigma > 2`` for the
-lognormal); for ``alpha = 2`` at ``x_min = 1`` it reproduces pi**2/6 to
-near machine precision.
+and the windowed pmf summing to one exactly); it is computed in one
+place, :class:`DiscreteDistribution`. For reporting, a tail-corrected
+constant is also computed which appends the midpoint integral of the
+continuous kernel beyond the window whenever the tail decays slowly
+(``heavy_tailed``: ``alpha <= 2`` for the power laws, ``sigma > 2`` for
+the lognormal); for ``alpha = 2`` at ``x_min = 1`` it reproduces
+pi**2/6 to near machine precision.
 
 All lognormal evaluation is done in log space to avoid underflow at
 extreme parameter values (fits on real citation data can reach location
@@ -31,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import NonNormalizableError, ParameterError, SupportError
 
@@ -53,16 +58,6 @@ SIGMA_MIN, SIGMA_MAX = 1e-6, 50.0
 
 
 @dataclass(frozen=True)
-class PowerLawParams:
-    """Scaling exponent ``alpha > 1`` of the ``x**-alpha`` kernel."""
-
-    alpha: float
-
-    def __post_init__(self):
-        _check_alpha(self.alpha)
-
-
-@dataclass(frozen=True)
 class HookedPowerLawParams:
     """Exponent ``alpha > 1`` and offset ``B > -1`` of ``(B + x)**-alpha``."""
 
@@ -73,6 +68,34 @@ class HookedPowerLawParams:
         _check_alpha(self.alpha)
         if not (math.isfinite(self.B) and self.B > -1.0):
             raise ParameterError(f"offset B must be > -1, got {self.B}")
+
+    def log_weight(self, x: np.ndarray) -> np.ndarray:
+        """``-alpha * log(B + x)`` at float points ``x >= 1``."""
+        return -self.alpha * np.log(self.B + x)
+
+    def tail_integral(self, edge: float) -> float:
+        """Integral of the continuous kernel over ``(edge, inf)``."""
+        return (self.B + edge) ** (1.0 - self.alpha) / (self.alpha - 1.0)
+
+    @property
+    def heavy_tailed(self) -> bool:
+        return self.alpha <= 2.0
+
+
+@dataclass(frozen=True)
+class PowerLawParams:
+    """Scaling exponent ``alpha > 1`` of the ``x**-alpha`` kernel."""
+
+    alpha: float
+    # The hooked law at B = 0; a class constant, not a field. 0.0 + x == x,
+    # so the shared formulas give the power law's values bit for bit.
+    B = 0.0
+    log_weight = HookedPowerLawParams.log_weight
+    tail_integral = HookedPowerLawParams.tail_integral
+    heavy_tailed = HookedPowerLawParams.heavy_tailed
+
+    def __post_init__(self):
+        _check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -88,8 +111,35 @@ class DiscreteLognormalParams:
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ParameterError(f"sigma must be > 0, got {self.sigma}")
 
+    def log_weight(self, x: np.ndarray) -> np.ndarray:
+        """Log of the continuous lognormal density at float points ``x >= 1``."""
+        logx = np.log(x)
+        z = (logx - self.mu) / self.sigma
+        return -logx - math.log(self.sigma) - 0.5 * _LOG_2PI - 0.5 * z * z
+
+    def log_weight_gradient(self, x: np.ndarray) -> np.ndarray:
+        """Rows ``d/dmu`` and ``d/dsigma`` of :meth:`log_weight`, shape ``(2, len(x))``."""
+        z = (np.log(x) - self.mu) / self.sigma
+        return np.stack((z, z * z - 1.0)) / self.sigma
+
+    def tail_integral(self, edge: float) -> float:
+        """Lognormal mass above ``edge``."""
+        z = (math.log(edge) - self.mu) / self.sigma
+        return 0.5 * math.erfc(z / math.sqrt(2.0))
+
+    @property
+    def heavy_tailed(self) -> bool:
+        return self.sigma > 2.0
+
 
 ParamSpec = Union[PowerLawParams, HookedPowerLawParams, DiscreteLognormalParams]
+
+#: Parameter class of each distribution kind, by its command-line name.
+FAMILIES: dict[str, type] = {
+    "pl": PowerLawParams,
+    "ln": DiscreteLognormalParams,
+    "hooked": HookedPowerLawParams,
+}
 
 
 def _check_alpha(alpha: float):
@@ -101,6 +151,12 @@ def _check_alpha(alpha: float):
         )
 
 
+def log_sum_exp(a: np.ndarray) -> float:
+    """``log(sum(exp(a)))`` for finite ``a``, shifted by the maximum so no term overflows."""
+    top = float(a.max())
+    return top + math.log(float(np.exp(a - top).sum()))
+
+
 def log_unnormalized_weight(params: ParamSpec, x):
     """Natural log of the kernel weight at integer points ``x >= 1``.
 
@@ -110,8 +166,7 @@ def log_unnormalized_weight(params: ParamSpec, x):
     if np.any(arr < 1):
         raise SupportError("kernel weights are defined for x >= 1")
     scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = _log_weights(params, arr)
+    out = params.log_weight(np.atleast_1d(arr))
     return float(out[0]) if scalar else out
 
 
@@ -119,35 +174,6 @@ def unnormalized_weight(params: ParamSpec, x):
     """Kernel weight at ``x``: ``x**-alpha``, ``(B+x)**-alpha``, or the
     lognormal density ``exp(-(ln x - mu)^2 / (2 sigma^2)) / (x sigma sqrt(2 pi))``."""
     return np.exp(log_unnormalized_weight(params, x))
-
-
-def _log_weights(params: ParamSpec, x: np.ndarray) -> np.ndarray:
-    if isinstance(params, PowerLawParams):
-        return -params.alpha * np.log(x)
-    if isinstance(params, HookedPowerLawParams):
-        return -params.alpha * np.log(params.B + x)
-    if isinstance(params, DiscreteLognormalParams):
-        logx = np.log(x)
-        z = (logx - params.mu) / params.sigma
-        return -logx - math.log(params.sigma) - 0.5 * _LOG_2PI - 0.5 * z * z
-    raise ParameterError(f"unknown parameter spec {params!r}")
-
-
-def _tail_integral(params: ParamSpec, window_end: int) -> float:
-    """Midpoint integral of the continuous kernel over (window_end + 1/2, inf)."""
-    edge = window_end + 0.5
-    if isinstance(params, PowerLawParams):
-        return edge ** (1.0 - params.alpha) / (params.alpha - 1.0)
-    if isinstance(params, HookedPowerLawParams):
-        return (params.B + edge) ** (1.0 - params.alpha) / (params.alpha - 1.0)
-    z = (math.log(edge) - params.mu) / params.sigma
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
-
-
-def _heavy_tailed(params: ParamSpec) -> bool:
-    if isinstance(params, DiscreteLognormalParams):
-        return params.sigma > 2.0
-    return params.alpha <= 2.0
 
 
 @dataclass(frozen=True)
@@ -165,16 +191,11 @@ def normalization_constants(params: ParamSpec, x_min: int) -> NormalizationConst
     ``x_min`` (the pmf normalizer). ``tail_corrected`` appends the
     midpoint integral of the continuous kernel beyond the window when
     the tail decays slowly enough for the bare sum to be visibly short;
-    otherwise the two coincide.
+    otherwise the two coincide. Both are read off
+    :class:`DiscreteDistribution`, the one place the window is summed.
     """
-    if x_min < 1:
-        raise ParameterError(f"x_min must be >= 1, got {x_min}")
-    window = np.arange(x_min, x_min + NORMALIZATION_TERMS, dtype=float)
-    bare = float(np.exp(logsumexp(_log_weights(params, window))))
-    corrected = bare
-    if _heavy_tailed(params):
-        corrected = bare + _tail_integral(params, x_min + NORMALIZATION_TERMS - 1)
-    return NormalizationConstants(bare=bare, tail_corrected=corrected)
+    dist = DiscreteDistribution(params, x_min)
+    return NormalizationConstants(dist.norm_const, dist.norm_const_tail_corrected)
 
 
 def normalization_constant(params: ParamSpec, x_min: int) -> float:
@@ -201,21 +222,16 @@ class DiscreteDistribution:
     def __post_init__(self):
         if self.x_min < 1:
             raise ParameterError(f"x_min must be >= 1, got {self.x_min}")
-        if isinstance(self.params, HookedPowerLawParams) and self.params.B + self.x_min <= 0:
-            raise ParameterError("B + x_min must be positive")
         window = np.arange(self.x_min, self.x_min + NORMALIZATION_TERMS, dtype=float)
-        logw = _log_weights(self.params, window)
-        log_norm = float(logsumexp(logw))
-        consts = NormalizationConstants(
-            bare=math.exp(log_norm),
-            tail_corrected=math.exp(log_norm)
-            + (_tail_integral(self.params, self.x_min + NORMALIZATION_TERMS - 1)
-               if _heavy_tailed(self.params) else 0.0),
-        )
+        logw = self.params.log_weight(window)
+        log_norm = log_sum_exp(logw)
+        bare = math.exp(log_norm)
+        edge = self.x_min + NORMALIZATION_TERMS - 0.5  # midpoint rule past the window
+        tail = self.params.tail_integral(edge) if self.params.heavy_tailed else 0.0
         cum = np.cumsum(np.exp(logw - log_norm))
         cum.flags.writeable = False
-        object.__setattr__(self, "norm_const", consts.bare)
-        object.__setattr__(self, "norm_const_tail_corrected", consts.tail_corrected)
+        object.__setattr__(self, "norm_const", bare)
+        object.__setattr__(self, "norm_const_tail_corrected", bare + tail)
         object.__setattr__(self, "_log_norm", log_norm)
         object.__setattr__(self, "_window_cum", cum)
 
@@ -232,7 +248,7 @@ class DiscreteDistribution:
     def log_pmf(self, x):
         """Log probability mass at ``x >= x_min`` (scalar or array)."""
         arr, scalar = self._validate_support(x)
-        out = _log_weights(self.params, arr.astype(float)) - self._log_norm
+        out = self.params.log_weight(arr.astype(float)) - self._log_norm
         return float(out[0]) if scalar else out
 
     def pmf(self, x):
@@ -281,7 +297,7 @@ class DiscreteDistribution:
         while reach < need and total < MAX_TABLE_LENGTH:
             size = min(total, MAX_TABLE_LENGTH - total)
             xs = np.arange(self.x_min + total, self.x_min + total + size, dtype=float)
-            chunk = reach + np.cumsum(np.exp(_log_weights(self.params, xs) - self._log_norm))
+            chunk = reach + np.cumsum(np.exp(self.params.log_weight(xs) - self._log_norm))
             if chunk[-1] <= reach:  # weights underflowed; no more mass reachable
                 break
             pieces.append(chunk)

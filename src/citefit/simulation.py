@@ -23,7 +23,7 @@ a hooked law approximates its exponent to a given tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,8 +35,9 @@ from .errors import (
     ParameterError,
     UsageError,
 )
-from .fitting import fit_hooked, fit_lognormal, fit_power_law, neg_log_likelihood
+from .fitting import fit_hooked, fit_kind, fit_lognormal, neg_log_likelihood
 from .kernels import (
+    FAMILIES,
     DiscreteDistribution,
     DiscreteLognormalParams,
     HookedPowerLawParams,
@@ -173,7 +174,7 @@ def ci_width_study(
         sample = gen.sample(sizes[j], replicate_seed(seed, i, j, r))
         view = truncate(CountDataset(sample), x_min)
         try:
-            fit = fit_hooked(view) if kind == "hooked" else fit_power_law(view)
+            fit = fit_kind(view, kind)
         except DegenerateDataError:
             return None
         if not fit.converged:
@@ -282,7 +283,8 @@ class LLContourGrid:
         }
 
 
-_CONTOUR_AXES = {"hooked": ("alpha", "B"), "ln": ("mu", "sigma")}
+#: The two-parameter kinds, whose surfaces a contour grid covers.
+_CONTOUR_KINDS = ("hooked", "ln")
 
 
 def ll_contour(data: TruncatedView, kind: str, p1_axis, p2_axis) -> LLContourGrid:
@@ -292,8 +294,9 @@ def ll_contour(data: TruncatedView, kind: str, p1_axis, p2_axis) -> LLContourGri
     Parameters outside the kernel domain leave NaN cells (counted),
     never an exception.
     """
-    if kind not in _CONTOUR_AXES:
-        raise UsageError(f"contour kind must be one of {sorted(_CONTOUR_AXES)}")
+    if kind not in _CONTOUR_KINDS:
+        raise UsageError(f"contour kind must be one of {sorted(_CONTOUR_KINDS)}")
+    family = FAMILIES[kind]
     p1 = tuple(float(v) for v in p1_axis)
     p2 = tuple(float(v) for v in p2_axis)
     for axis in (p1, p2):
@@ -304,14 +307,10 @@ def ll_contour(data: TruncatedView, kind: str, p1_axis, p2_axis) -> LLContourGri
     for i, v1 in enumerate(p1):
         for j, v2 in enumerate(p2):
             try:
-                if kind == "hooked":
-                    params = HookedPowerLawParams(v1, v2)
-                else:
-                    params = DiscreteLognormalParams(v1, v2)
-                cells[i, j] = neg_log_likelihood(params, data.x_min, data)
+                cells[i, j] = neg_log_likelihood(family(v1, v2), data.x_min, data)
             except ParameterError:
                 invalid += 1
-    name1, name2 = _CONTOUR_AXES[kind]
+    name1, name2 = (f.name for f in fields(family))
     return LLContourGrid(
         kind=kind,
         p1_name=name1,

@@ -81,7 +81,7 @@ class TestSample:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
-    @pytest.mark.parametrize("n", [1, 2, 257])
+    @pytest.mark.parametrize("n", [1, 2, 257, 2 * 65_536 + 3])
     def test_golden_bytes(self, tmp_path, capsys, n):
         # the bytes json.dumps(indent=2) and csv.DictWriter give for these draws
         draws = DiscreteDistribution(HookedPowerLawParams(2.2, 4.0), 2).sample(n, 8)
@@ -168,6 +168,16 @@ class TestScanCommand:
         payload = json.loads(out)
         assert payload["best_x_min"] in (1, 2, 3, 4)
         assert sum(e["best"] for e in payload["entries"]) == 1
+
+    def test_largest_int64_count_is_scored(self, tmp_path, capsys):
+        # 2**63 - 1 is a valid count; the KS score must not wrap it past int64
+        counts = [1, 1, 2, 2, 3, 3, 4, 5, 7, 9, 12, 2**63 - 1]
+        path = tmp_path / "huge.txt"
+        path.write_text("\n".join(map(str, counts)) + "\n", encoding="utf-8")
+        code, out, err = main_output(capsys, "scan", "--input", str(path), "--dist", "pl",
+                                     "--x-min-range", "1:2:1")
+        assert code == 0, err
+        assert [e["x_min"] for e in json.loads(out)["entries"]] == [1, 2]
 
 
 class TestCompareCommand:

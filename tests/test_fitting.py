@@ -280,6 +280,14 @@ class TestScanXmin:
         best = result.best
         assert best.selection_score == min(e.selection_score for e in result.per_xmin)
 
+    def test_ks_distance_at_largest_int64_count(self):
+        # the ccdf is constant past the window, so the count's size beyond it cannot matter
+        dist = DiscreteDistribution(HookedPowerLawParams(2.5, 3.0), 2)
+        rest = (2, 2, 3, 5, 8, 40)
+        huge = truncate(CountDataset(rest + (2**63 - 1,)), 2)
+        edge = truncate(CountDataset(rest + (2 + NORMALIZATION_TERMS,)), 2)
+        assert ks_distance(dist, huge) == ks_distance(dist, edge)
+
     def test_ks_distance_zero_for_perfect_cdf_match(self):
         # empirical CDF exactly on the model CDF has distance ~0 at those points
         dist = DiscreteDistribution(PowerLawParams(2.0), 1)
