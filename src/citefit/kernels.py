@@ -9,9 +9,7 @@ each. The class holds its family's formulas: ``log_weight(x)``, the
   ``B = 0``. It reuses the hooked formulas with a class constant
   ``B = 0.0``, which gives the same values bit for bit.
 * :class:`DiscreteLognormalParams`: weight given by the continuous
-  lognormal density evaluated at integers. Only this class has a
-  ``log_weight_gradient(x)``: the lognormal fit descends on it, while the
-  power-law fits solve their score in closed form.
+  lognormal density evaluated at integers.
 
 Each family is normalized by dividing by the sum of its weights over the
 truncated integer support, approximated by the sum of the first 10,000
@@ -34,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -116,11 +115,6 @@ class DiscreteLognormalParams:
         logx = np.log(x)
         z = (logx - self.mu) / self.sigma
         return -logx - math.log(self.sigma) - 0.5 * _LOG_2PI - 0.5 * z * z
-
-    def log_weight_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Rows ``d/dmu`` and ``d/dsigma`` of :meth:`log_weight`, shape ``(2, len(x))``."""
-        z = (np.log(x) - self.mu) / self.sigma
-        return np.stack((z, z * z - 1.0)) / self.sigma
 
     def tail_integral(self, edge: float) -> float:
         """Lognormal mass above ``edge``."""
@@ -217,23 +211,31 @@ class DiscreteDistribution:
     norm_const: float = field(init=False, repr=False, compare=False)
     norm_const_tail_corrected: float = field(init=False, repr=False, compare=False)
     _log_norm: float = field(init=False, repr=False, compare=False)
-    _window_cum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.x_min < 1:
             raise ParameterError(f"x_min must be >= 1, got {self.x_min}")
-        window = np.arange(self.x_min, self.x_min + NORMALIZATION_TERMS, dtype=float)
-        logw = self.params.log_weight(window)
-        log_norm = log_sum_exp(logw)
+        log_norm = log_sum_exp(self.params.log_weight(self._window()))
         bare = math.exp(log_norm)
         edge = self.x_min + NORMALIZATION_TERMS - 0.5  # midpoint rule past the window
         tail = self.params.tail_integral(edge) if self.params.heavy_tailed else 0.0
-        cum = np.cumsum(np.exp(logw - log_norm))
-        cum.flags.writeable = False
         object.__setattr__(self, "norm_const", bare)
         object.__setattr__(self, "norm_const_tail_corrected", bare + tail)
         object.__setattr__(self, "_log_norm", log_norm)
-        object.__setattr__(self, "_window_cum", cum)
+
+    def _window(self) -> np.ndarray:
+        return np.arange(self.x_min, self.x_min + NORMALIZATION_TERMS, dtype=float)
+
+    @cached_property
+    def _window_cum(self) -> np.ndarray:
+        """Cumulative pmf over the window, built on first use.
+
+        Only ``ccdf`` and ``sample`` read it; a distribution built for its
+        normalizer alone never pays for it.
+        """
+        cum = np.cumsum(np.exp(self.params.log_weight(self._window()) - self._log_norm))
+        cum.flags.writeable = False
+        return cum
 
     def _validate_support(self, x) -> tuple[np.ndarray, bool]:
         arr = np.asarray(x)

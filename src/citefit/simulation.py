@@ -112,17 +112,22 @@ def _interquantile_width(values: list[float]) -> float:
     return float(hi - lo)
 
 
-def _run_cells(row_values, col_values, replicates, run_one, record_count=1):
-    """Shared replicate loop; ``run_one(i, j, r)`` returns per-target values or None."""
+def _run_cells(row_values, col_values, replicates, cell, record_count=1):
+    """Shared replicate loop.
+
+    ``cell(i, j)`` sets up grid cell (i, j) once and returns its replicate
+    function: ``run_one(r)`` gives per-target values, or None to exclude.
+    """
     shape = (len(row_values), len(col_values))
     widths = [np.full(shape, np.nan) for _ in range(record_count)]
     exclusions = np.zeros(shape, dtype=int)
     flagged = np.zeros(shape, dtype=bool)
     for i in range(shape[0]):
         for j in range(shape[1]):
+            run_one = cell(i, j)
             recorded = [[] for _ in range(record_count)]
             for r in range(replicates):
-                outcome = run_one(i, j, r)
+                outcome = run_one(r)
                 if outcome is None:
                     exclusions[i, j] += 1
                     continue
@@ -166,22 +171,26 @@ def ci_width_study(
     alphas = tuple(float(a) for a in parameter_grid)
     sizes = tuple(int(n) for n in n_grid)
 
-    def run_one(i, j, r):
+    def cell(i, j):
         if kind == "hooked":
             gen = DiscreteDistribution(HookedPowerLawParams(alphas[i], B), x_min)
         else:
             gen = DiscreteDistribution(PowerLawParams(alphas[i]), x_min)
-        sample = gen.sample(sizes[j], replicate_seed(seed, i, j, r))
-        view = truncate(CountDataset(sample), x_min)
-        try:
-            fit = fit_kind(view, kind)
-        except DegenerateDataError:
-            return None
-        if not fit.converged:
-            return None
-        return (fit.params.alpha,)
 
-    widths, exclusions, flagged = _run_cells(alphas, sizes, replicates, run_one)
+        def run_one(r):
+            sample = gen.sample(sizes[j], replicate_seed(seed, i, j, r))
+            view = truncate(CountDataset(sample), x_min)
+            try:
+                fit = fit_kind(view, kind)
+            except DegenerateDataError:
+                return None
+            if not fit.converged:
+                return None
+            return (fit.params.alpha,)
+
+        return run_one
+
+    widths, exclusions, flagged = _run_cells(alphas, sizes, replicates, cell)
     return CIWidthGrid(
         target_parameter="alpha",
         row_name="alpha",
@@ -209,19 +218,23 @@ def lognormal_ci_study(
     mus = tuple(float(m) for m in mu_grid)
     sigmas = tuple(float(s) for s in sigma_grid)
 
-    def run_one(i, j, r):
+    def cell(i, j):
         gen = DiscreteDistribution(DiscreteLognormalParams(mus[i], sigmas[j]), x_min)
-        sample = gen.sample(n, replicate_seed(seed, i, j, r))
-        view = truncate(CountDataset(sample), x_min)
-        try:
-            fit = fit_lognormal(view)
-        except DegenerateDataError:
-            return None
-        if not fit.converged:
-            return None
-        return (fit.params.mu, fit.params.sigma)
 
-    widths, exclusions, flagged = _run_cells(mus, sigmas, replicates, run_one, record_count=2)
+        def run_one(r):
+            sample = gen.sample(n, replicate_seed(seed, i, j, r))
+            view = truncate(CountDataset(sample), x_min)
+            try:
+                fit = fit_lognormal(view)
+            except DegenerateDataError:
+                return None
+            if not fit.converged:
+                return None
+            return (fit.params.mu, fit.params.sigma)
+
+        return run_one
+
+    widths, exclusions, flagged = _run_cells(mus, sigmas, replicates, cell, record_count=2)
     grids = []
     for target, width_arr in zip(("mu", "sigma"), widths):
         grids.append(

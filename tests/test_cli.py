@@ -319,3 +319,45 @@ class TestContourAndRidge:
         assert code == 0
         report = json.loads(out)
         assert report["neg_ll_fitted"] <= report["neg_ll_true"] + 1e-6
+
+
+# Runs in a fresh interpreter where importing scipy fails, so any use of scipy
+# on these paths exits nonzero. Prints each command's exit code.
+WITHOUT_SCIPY = """
+import json, sys
+sys.modules["scipy"] = None
+from citefit.cli import main
+path, out = sys.argv[1], sys.argv[2]
+commands = [
+    ["fit", "--input", path, "--dist", "all"],
+    ["analyze", "--input", path, "--x-min", "scan", "--scan-dist", "hooked",
+     "--x-min-range", "1:3:1"],
+    ["ci-study", "--kind", "hooked", "--alpha-grid", "3", "--n-grid", "300", "--replicates", "2"],
+    ["ci-study", "--kind", "pl", "--alpha-grid", "2.5", "--n-grid", "300", "--replicates", "2"],
+    ["ci-study", "--kind", "ln", "--mu-grid", "1", "--sigma-grid", "1", "--n", "300",
+     "--replicates", "2"],
+    ["contour", "--input", path, "--kind", "ln", "--p1", "0:2:1", "--p2", "0.5:1.5:0.5"],
+    ["sample", "--dist", "ln", "--mu", "1", "--sigma", "1", "-n", "5"],
+]
+print(json.dumps([main(argv + ["--output", out]) for argv in commands]))
+"""
+
+
+class TestWithoutScipy:
+    def test_import_loads_no_scipy(self):
+        r = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, citefit.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "[]"
+
+    def test_commands_run_with_scipy_blocked(self, tmp_path):
+        path = write_counts(tmp_path, HookedPowerLawParams(3.0, 5.0), 300, seed=8)
+        r = subprocess.run(
+            [sys.executable, "-c", WITHOUT_SCIPY, path, str(tmp_path / "out.json")],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert json.loads(r.stdout) == [0] * 7

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
+from scipy.special import logsumexp
 from scipy.stats import spearmanr
 
 from citefit.dataset import CountDataset, truncate
 from citefit.errors import DegenerateDataError, ScanError, UsageError
 from citefit.fitting import (
     HOOKED_GRAD_TOL,
+    _lognormal_point,
+    _TailStats,
     fit_hooked,
     fit_lognormal,
     fit_power_law,
@@ -18,7 +22,11 @@ from citefit.kernels import (
     ALPHA_MIN,
     B_MAX,
     B_MIN,
+    MU_MAX,
+    MU_MIN,
     NORMALIZATION_TERMS,
+    SIGMA_MAX,
+    SIGMA_MIN,
     DiscreteDistribution,
     DiscreteLognormalParams,
     HookedPowerLawParams,
@@ -120,6 +128,144 @@ class TestFitPowerLaw:
             assert fit.neg_log_likelihood <= neg_log_likelihood(nearby, 1, view)
 
 
+def reference_fit(view, kind):
+    """Test-side MLE: scipy's L-BFGS-B on the window NLL, from the moments of ln x.
+
+    Returns the parameters, their bounds and the NLL. The NLL and its
+    gradient are written out here from the window sums, independently of
+    citefit's solvers.
+    """
+    counts = view.multiplicities.astype(float)
+    n = counts.sum()
+    log_values = np.log(view.values.astype(float))
+    log_window = np.log(np.arange(view.x_min, view.x_min + NORMALIZATION_TERMS, dtype=float))
+    mean = counts @ log_values / n
+    if kind == "pl":
+        bounds = [(ALPHA_MIN + 1e-9, ALPHA_MAX)]
+        start = [1.0 + 1.0 / (mean - log_window[0])]
+
+        def nll(theta):
+            logw = -theta[0] * log_window
+            p = np.exp(logw - logsumexp(logw))
+            return (theta[0] * (counts @ log_values) + n * logsumexp(logw),
+                    np.array([counts @ log_values - n * (p @ log_window)]))
+    else:
+        bounds = [(MU_MIN, MU_MAX), (SIGMA_MIN, SIGMA_MAX)]
+        start = [mean, np.sqrt(counts @ (log_values - mean) ** 2 / n)]
+
+        def nll(theta):
+            mu, sigma = theta
+            zw, zv = (log_window - mu) / sigma, (log_values - mu) / sigma
+            logw = -log_window - np.log(sigma) - 0.5 * np.log(2 * np.pi) - 0.5 * zw * zw
+            logv = -log_values - np.log(sigma) - 0.5 * np.log(2 * np.pi) - 0.5 * zv * zv
+            p = np.exp(logw - logsumexp(logw))
+            grad = np.array([n * (p @ zw) - counts @ zv,
+                             n * (p @ (zw * zw - 1)) - counts @ (zv * zv - 1)]) / sigma
+            return n * logsumexp(logw) - counts @ logv, grad
+
+    res = minimize(nll, np.clip(start, *zip(*bounds)), jac=True, method="L-BFGS-B",
+                   bounds=bounds, options={"maxiter": 10_000, "ftol": 0.0, "gtol": 1e-10})
+    return res.x, bounds, float(res.fun)
+
+
+class TestSolverPins:
+    """Fits whose optimum lies on the box, checked against ``reference_fit``."""
+
+    @staticmethod
+    def check_against_reference(fit, view, kind, pinned):
+        theta = [getattr(fit.params, f) for f in (("alpha",) if kind == "pl" else ("mu", "sigma"))]
+        ref, bounds, ref_nll = reference_fit(view, kind)
+        for i, (value, ref_value, (lo, hi)) in enumerate(zip(theta, ref, bounds)):
+            at_bound = {b for b in (lo, hi) if value == b}
+            ref_at_bound = {b for b in (lo, hi) if abs(ref_value - b) <= 1e-6 * max(1.0, abs(b))}
+            assert at_bound == ref_at_bound == pinned[i]
+        assert ref_nll >= fit.neg_log_likelihood - 1e-9 * abs(fit.neg_log_likelihood)
+
+    def test_lognormal_pinned_at_mu_min(self):
+        view = sample_view(PowerLawParams(1.5), 3000, seed=0)
+        fit = fit_lognormal(view)
+        assert fit.converged
+        self.check_against_reference(fit, view, "ln", [{MU_MIN}, set()])
+
+    def test_lognormal_pinned_at_sigma_max(self):
+        view = sample_view(PowerLawParams(1.2), 3000, seed=0)
+        fit = fit_lognormal(view)
+        assert fit.converged
+        self.check_against_reference(fit, view, "ln", [set(), {SIGMA_MAX}])
+
+    def test_lognormal_pinned_at_vertex(self):
+        # log-mean just below the vertex model's, log-spread far above it: at
+        # (mu, sigma) = (-1000, 50) the gradient points out through both bounds
+        view = truncate(CountDataset([1] * 4032 + [10_000] * 968), 1)
+        fit = fit_lognormal(view)
+        assert fit.converged
+        self.check_against_reference(fit, view, "ln", [{MU_MIN}, {SIGMA_MAX}])
+
+    def test_lognormal_pinned_where_the_window_collapses(self):
+        # counts at exp(20), far past the window: the likelihood grows without
+        # bound as sigma -> 0 at mu = 20, and on the way the window's weights
+        # collapse onto its last integer, where the Hessian vanishes
+        view = truncate(CountDataset([485_165_195] * 10 + [1, 2]), 1)
+        fit = fit_lognormal(view)
+        assert fit.converged
+        self.check_against_reference(fit, view, "ln", [{MU_MAX}, {SIGMA_MIN}])
+
+    def test_power_law_pinned_at_alpha_min(self):
+        view = truncate(CountDataset(np.arange(1, NORMALIZATION_TERMS + 1)), 1)
+        fit = fit_power_law(view)
+        assert not fit.converged
+        self.check_against_reference(fit, view, "pl", [{ALPHA_MIN + 1e-9}])
+
+    def test_power_law_pinned_at_alpha_max(self):
+        view = truncate(CountDataset([1000] * 99 + [1001]), 1000)
+        fit = fit_power_law(view)
+        assert not fit.converged
+        self.check_against_reference(fit, view, "pl", [{ALPHA_MAX}])
+
+
+class TestLognormalNewtonTerms:
+    @pytest.mark.parametrize("mu, sigma", [(2.0, 1.0), (-1000.0, 50.0), (20.0, 1e-3)])
+    def test_natural_gradient_and_hessian_match_central_differences(self, mu, sigma):
+        """The lognormal solver's gradient and Hessian in the natural parameters.
+
+        ``theta`` are the natural parameters of ``T = (u, u**2)``, ``u = ln x - mu``:
+        the weight is ``exp(theta . T) / x`` and ``(mu, sigma)`` is
+        ``theta = (0, -1/(2 sigma**2))``. The gradient is checked against
+        central differences of the NLL written out here, the Hessian against
+        central differences of the solver's gradient at nearby points, each
+        centred at its own ``mu'`` and moved to ``u`` by
+        ``(g0, g1) -> (g0, g1 + 2 (mu' - mu) g0)``.
+        """
+        view = truncate(CountDataset([1, 7, 10_000]), 1)
+        stats = _TailStats(view)
+        log_window, log_values = np.log(stats.window), np.log(stats.values)
+        point = _lognormal_point(stats, log_window, log_values, mu, sigma)
+        uw, uv = log_window - mu, log_values - mu
+
+        def objective(theta):
+            return (3 * logsumexp(theta[0] * uw + theta[1] * uw**2 - log_window)
+                    - np.sum(theta[0] * uv + theta[1] * uv**2 - log_values))
+
+        def gradient(theta):
+            var = -0.5 / theta[1]
+            moved = mu + theta[0] * var
+            g = _lognormal_point(stats, log_window, log_values, moved, np.sqrt(var)).grad
+            return np.array([g[0], g[1] + 2 * (moved - mu) * g[0]])
+
+        theta = np.array([0.0, -0.5 / sigma**2])
+        h = 1e-4 * np.array([1.0 / sigma, 0.5 / sigma**2])
+        e = np.eye(2) * h
+        eps = np.finfo(float).eps
+        rounding = 100 * eps * max(abs(objective(theta + s * e[i])) for i in range(2) for s in (-1, 1))
+        numeric = [(objective(theta + e[i]) - objective(theta - e[i])) / (2 * h[i]) for i in range(2)]
+        assert np.allclose(point.grad, numeric, rtol=1e-7, atol=rounding / h.min())
+        hessian = np.column_stack([(gradient(theta + e[j]) - gradient(theta - e[j])) / (2 * h[j])
+                                   for j in range(2)])
+        h00, h01, h11 = point.hessian
+        grad_rounding = 100 * eps * 3 * max(np.abs(uw).max(), np.abs(uv).max()) ** 2 / h
+        assert np.allclose([[h00, h01], [h01, h11]], hessian, rtol=1e-6, atol=grad_rounding.min())
+
+
 class TestFitLognormal:
     def test_recovers_parameters_within_replicate_interval(self):
         fits = [
@@ -157,6 +303,17 @@ class TestFitLognormal:
         assert fit.neg_log_likelihood == pytest.approx(
             neg_log_likelihood(fit.params, 1, view), abs=1e-8
         )
+
+    def test_narrow_sample_reaches_its_entropy(self):
+        # ln x has almost no spread, so a start at its standard deviation would
+        # put the window's whole mass on x = 1; the infimum of any model's NLL
+        # is the sample's entropy, approached as sigma -> 0
+        counts = np.array([10_000, 1])
+        view = truncate(CountDataset([1] * 10_000 + [2]), 1)
+        entropy = -float(counts @ np.log(counts / counts.sum()))
+        fit = fit_lognormal(view)
+        assert fit.converged
+        assert entropy - 1e-9 <= fit.neg_log_likelihood <= entropy + 1e-9
 
     def test_degenerate_data(self):
         with pytest.raises(DegenerateDataError):

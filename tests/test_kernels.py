@@ -56,19 +56,6 @@ class TestUnnormalizedWeight:
             hooked = HookedPowerLawParams(alpha, 0.0).log_weight(window)
             assert np.array_equal(pl, hooked)
 
-    @pytest.mark.parametrize("mu, sigma", [(2.0, 1.0), (-1000.0, 50.0), (20.0, 1e-3)])
-    def test_lognormal_gradient_matches_central_differences(self, mu, sigma):
-        x = np.array([1.0, 7.0, 10_000.0])
-        grad = DiscreteLognormalParams(mu, sigma).log_weight_gradient(x)
-        assert grad.shape == (2, 3)
-        for row, (dmu, dsigma) in enumerate(((1.0, 0.0), (0.0, 1.0))):
-            h = 1e-6 * max(abs(mu) if dmu else abs(sigma), 1e-3)
-            up = DiscreteLognormalParams(mu + h * dmu, sigma + h * dsigma).log_weight(x)
-            down = DiscreteLognormalParams(mu - h * dmu, sigma - h * dsigma).log_weight(x)
-            numeric = (up - down) / (2.0 * h)
-            rounding = 100 * np.finfo(float).eps * np.abs(up).max() / h
-            assert np.allclose(grad[row], numeric, rtol=1e-7, atol=rounding)
-
     def test_lognormal_at_one(self):
         w = unnormalized_weight(DiscreteLognormalParams(0.0, 1.0), 1)
         assert w == pytest.approx(1 / math.sqrt(2 * math.pi), abs=1e-12)
