@@ -4,8 +4,8 @@ All objectives are negative log-likelihoods: lower is better. On the
 fixed 10,000-term normalization window every family (the hooked law at a
 fixed offset ``B``) is an exponential family, so each objective is convex
 in the family's natural parameters, and its Hessian there is exact:
-``n`` times a covariance under the window's normalized weights ``p``. The solvers use that and need nothing
-beyond numpy:
+``n`` times a covariance under the window's normalized weights ``p``.
+The solvers use that and need nothing beyond numpy:
 
 * power law and hooked power law: one exact 1-D score solver. The hooked
   weight ``(B + x)**-alpha`` is the power law shifted by ``B``. For any
@@ -171,7 +171,8 @@ def _fit_result(params: ParamSpec, data: TruncatedView, converged: bool,
 
 def _projected_gradient_norm(theta, grad, bounds) -> float:
     """Norm of ``theta - clip(theta - grad)``: zero at a minimum in the box, also on its edge."""
-    return math.hypot(*(x - min(max(x - g, lo), hi) for x, g, (lo, hi) in zip(theta, grad, bounds)))
+    return math.hypot(*(x - min(max(x - g, lo), hi)
+                        for x, g, (lo, hi) in zip(theta, grad, bounds)))
 
 
 def _brent_root(f, xa: float, xb: float, args=()) -> float:

@@ -347,7 +347,8 @@ class TestWithoutScipy:
     def test_import_loads_no_scipy(self):
         r = subprocess.run(
             [sys.executable, "-c",
-             "import sys, citefit.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+             "import sys, citefit.cli; "
+             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
             capture_output=True, text=True,
         )
         assert r.returncode == 0, r.stderr
