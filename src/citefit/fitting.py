@@ -12,13 +12,15 @@ The solvers use that and need nothing beyond numpy:
   fixed ``B``, ``alpha`` is the natural parameter of ``log(B + x)``, so
   the score in ``alpha`` is increasing, with derivative
   ``n Var_p[log(B + x)]``; :func:`_alpha_at` finds its root by
-  safeguarded Newton. The power law is that solve at ``B = 0``. The
-  hooked fit profiles it over ``log(B + 1)``: a fixed grid, then Brent's
-  root (:func:`_brent_root`) of the profile's slope, which is the
-  analytic ``d/dB`` of the objective. The profile follows the long
-  diagonal valley in which increases in ``alpha`` trade off against
-  increases in ``B``, which makes the 2-D problem badly conditioned for
-  gradient descent.
+  safeguarded Newton. It reads the window's normalizer and both moments
+  of ``log(B + x)`` from :class:`~citefit.kernels.PowerLawWindowSums` in
+  constant time, so no step sums the window term by term. The power law
+  is that solve at ``B = 0``. The hooked fit profiles it over
+  ``log(B + 1)``: a fixed grid, then Brent's root (:func:`_brent_root`)
+  of the profile's slope, which is the analytic ``d/dB`` of the
+  objective. The profile follows the long diagonal valley in which
+  increases in ``alpha`` trade off against increases in ``B``, which
+  makes the 2-D problem badly conditioned for gradient descent.
 * discrete lognormal: damped Newton in the natural parameters
   ``eta = (mu / sigma**2, -1 / (2 sigma**2))`` of ``T = (ln x, ln**2 x)``,
   started from the moments of ``ln x``. The ``(mu, sigma)`` box is four
@@ -58,8 +60,10 @@ from .kernels import (
     NORMALIZATION_TERMS,
     ParamSpec,
     PowerLawParams,
+    PowerLawWindowSums,
     SIGMA_MAX,
     SIGMA_MIN,
+    normalization_window,
 )
 
 #: Minimum tail sizes for the fitters and the truncation scan.
@@ -135,23 +139,35 @@ class _TailStats:
         self.values = view.values.astype(float)
         self.counts = view.multiplicities.astype(float)
         self.n = view.n_tail
-        self.window = np.arange(view.x_min, view.x_min + NORMALIZATION_TERMS, dtype=float)
-        # Window-sized work rows, reused by every evaluation of one fit. Fresh
-        # temporaries would cost page faults whenever the allocator has
-        # returned the freed ones to the system.
-        self.scratch = np.empty((4, NORMALIZATION_TERMS))
+        self.x_min = view.x_min
 
     @property
     def degenerate(self) -> bool:
         return len(self.values) < 2
 
 
+class _LognormalStats(_TailStats):
+    """The tail statistics plus the normalization window, which only the lognormal sums."""
+
+    def __init__(self, view: TruncatedView):
+        super().__init__(view)
+        self.window = normalization_window(view.x_min)
+        # Window-sized work rows, reused by every evaluation of one fit. Fresh
+        # temporaries would cost page faults whenever the allocator has
+        # returned the freed ones to the system.
+        self.scratch = np.empty((4, NORMALIZATION_TERMS))
+
+
+def _dataset_nll(dist: DiscreteDistribution, data: TruncatedView) -> float:
+    """``-sum c log p(v)`` over the histogram of ``data``."""
+    return float(-(data.multiplicities @ dist.log_pmf(data.values)))
+
+
 def neg_log_likelihood(params: ParamSpec, x_min: int, data: TruncatedView) -> float:
     """Negative log-likelihood of ``data`` under the kernel truncated at ``x_min``."""
     if data.values[0] < x_min:
         raise UsageError("data contains values below the requested x_min")
-    dist = DiscreteDistribution(params, x_min)
-    return float(-(data.multiplicities @ dist.log_pmf(data.values)))
+    return _dataset_nll(DiscreteDistribution(params, x_min), data)
 
 
 def _fit_result(params: ParamSpec, data: TruncatedView, converged: bool,
@@ -160,7 +176,7 @@ def _fit_result(params: ParamSpec, data: TruncatedView, converged: bool,
     dist = DiscreteDistribution(params, data.x_min)
     return FitResult(
         dist=dist,
-        neg_log_likelihood=float(-(data.multiplicities @ dist.log_pmf(data.values))),
+        neg_log_likelihood=_dataset_nll(dist, data),
         n_tail=data.n_tail,
         x_min=data.x_min,
         converged=converged,
@@ -263,7 +279,7 @@ def _continuous_alpha(stats: _TailStats, b: float, data: float) -> float:
     ``data`` is ``sum c log(b + v)``. Where the half-step edge
     ``b + x_min - 1/2`` is not positive, the edge is ``b + x_min``.
     """
-    edge = b + stats.window[0] - 0.5
+    edge = b + stats.x_min - 0.5
     if edge <= 0.0:
         edge += 0.5
     spread = data - stats.n * math.log(edge)
@@ -282,14 +298,16 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _Profi
     goes to the box end on that side when that end is still unevaluated,
     otherwise bisects, as does a step that fails to halve the last one.
     A box end whose score points out of the box pins the optimum there.
+
+    The window enters through its sums ``S_k`` of ``w l**k``, with
+    ``l = log((b + x) / (b + x_min))`` and ``w = exp(-alpha l)``: then
+    ``E_p[l] = S_1 / S_0``, ``Var_p[l] = S_2 / S_0 - E_p[l]**2``, and
+    ``E_p[1 / (b + x)]`` is ``S_0`` at ``alpha + 1`` over ``(b + x_min) S_0``.
     """
-    shifted, shifted_sq, w = stats.scratch[:3]
-    np.log(np.add(stats.window, b, out=shifted), out=shifted)
-    log_edge = float(shifted[0])
-    shifted -= log_edge  # log((b + x) / (b + x_min)) keeps the window weights in range
-    np.multiply(shifted, shifted, out=shifted_sq)
+    sums = PowerLawWindowSums(b + stats.x_min)
+    log_edge = sums.log_offset
     data = float(stats.counts @ np.log(b + stats.values))
-    target = data / stats.n - log_edge  # the score is n (target - E_p[shifted])
+    target = data / stats.n - log_edge  # the score is n (target - E_p[l])
     if start is None:
         start = _continuous_alpha(stats, b, data)
 
@@ -298,9 +316,8 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _Profi
     alpha = min(max(start, lo), hi)
     last_step, pinned = hi - lo, False
     for iterations in range(1, _ROOT_MAX_ITER + 1):
-        np.exp(np.multiply(shifted, -alpha, out=w), out=w)
-        z = float(w.sum())
-        mean = float(w @ shifted) / z
+        z, s1, s2 = sums(alpha)
+        mean = s1 / z
         score = stats.n * (target - mean)
         if score >= 0.0 and alpha == _ALPHA_LO or score <= 0.0 and alpha == ALPHA_MAX:
             pinned = True
@@ -311,7 +328,7 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _Profi
             hi, hi_seen = alpha, True
         else:
             lo, lo_seen = alpha, True
-        curvature = stats.n * (float(w @ shifted_sq) / z - mean * mean)
+        curvature = stats.n * (s2 / z - mean * mean)
         new = alpha - score / curvature if curvature > 0.0 else math.copysign(math.inf, -score)
         if abs(new - alpha) <= _ROOT_XTOL + _ROOT_RTOL * alpha:
             break
@@ -328,7 +345,6 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _Profi
             break
         last_step, alpha = new - alpha, new
 
-    inverse = np.reciprocal(np.add(stats.window, b, out=shifted_sq), out=shifted_sq)
     return _ProfilePoint(
         alpha=alpha,
         b=b,
@@ -338,7 +354,7 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _Profi
         grad=(
             score,
             alpha * float(stats.counts @ (1.0 / (b + stats.values)))
-            - alpha * stats.n * float(w @ inverse) / z,
+            - alpha * stats.n * sums(alpha + 1.0)[0] / (sums.offset * z),
         ),
     )
 
@@ -362,7 +378,7 @@ class _LognormalPoint(NamedTuple):
     gradient_norm: float  # projected (mu, sigma) gradient
 
 
-def _lognormal_point(stats: _TailStats, log_window, log_values, mu: float,
+def _lognormal_point(stats: _LognormalStats, log_window, log_values, mu: float,
                      sigma: float) -> _LognormalPoint:
     """Objective, centred natural-parameter gradient and Hessian at ``(mu, sigma)``.
 
@@ -502,7 +518,7 @@ def fit_lognormal(data: TruncatedView) -> FitResult:
     or after ``LOGNORMAL_MAX_ITER`` iterations. ``converged`` means the
     projected ``(mu, sigma)`` gradient is below ``LOGNORMAL_GRAD_TOL``.
     """
-    stats = _TailStats(data)
+    stats = _LognormalStats(data)
     if stats.n < MIN_TAIL_TWO_PARAM:
         raise DegenerateDataError("lognormal fit needs at least three points")
     if stats.degenerate:
@@ -622,10 +638,7 @@ def ks_distance(dist: DiscreteDistribution, data: TruncatedView) -> float:
     Evaluated at the distinct observed values, the standard discrete form.
     """
     ecdf = np.cumsum(data.multiplicities) / data.n_tail
-    # the ccdf is constant past the window, and the clamp keeps ``+ 1`` from wrapping
-    window_end = dist.x_min + NORMALIZATION_TERMS
-    model_cdf = 1.0 - dist.ccdf(np.minimum(data.values, window_end) + 1)
-    return float(np.abs(ecdf - model_cdf).max())
+    return float(np.abs(ecdf - dist.cdf(data.values)).max())
 
 
 def scan_x_min(data: CountDataset, kind: str, x_min_range) -> XminScanResult:

@@ -179,6 +179,16 @@ class TestScanCommand:
         assert code == 0, err
         assert [e["x_min"] for e in json.loads(out)["entries"]] == [1, 2]
 
+    def test_window_past_largest_int64_is_scored(self, tmp_path, capsys):
+        # at x_min = 2**63 - 2 the window's end, x_min + 10,000, is beyond int64
+        path = tmp_path / "top.txt"
+        path.write_text(f"{2**63 - 2}\n" * 5 + f"{2**63 - 1}\n" * 6, encoding="utf-8")
+        code, out, err = main_output(capsys, "scan", "--input", str(path), "--dist", "pl")
+        assert code == 0, err
+        entries = json.loads(out)["entries"]
+        assert [e["x_min"] for e in entries] == [2**63 - 2]
+        assert 0.0 <= entries[0]["selection_score"] <= 1.0
+
 
 class TestCompareCommand:
     def test_power_law_like_data_lrt_near_zero(self, tmp_path, capsys):

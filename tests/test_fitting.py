@@ -9,7 +9,7 @@ from citefit.errors import DegenerateDataError, ScanError, UsageError
 from citefit.fitting import (
     HOOKED_GRAD_TOL,
     _lognormal_point,
-    _TailStats,
+    _LognormalStats,
     fit_hooked,
     fit_lognormal,
     fit_power_law,
@@ -237,7 +237,7 @@ class TestLognormalNewton:
         ``(g0, g1) -> (g0, g1 + 2 (mu' - mu) g0)``.
         """
         view = truncate(CountDataset([1, 7, 10_000]), 1)
-        stats = _TailStats(view)
+        stats = _LognormalStats(view)
         log_window, log_values = np.log(stats.window), np.log(stats.values)
         point = _lognormal_point(stats, log_window, log_values, mu, sigma)
         uw, uv = log_window - mu, log_values - mu
@@ -439,13 +439,23 @@ class TestScanXmin:
         best = result.best
         assert best.selection_score == min(e.selection_score for e in result.per_xmin)
 
-    def test_ks_distance_at_largest_int64_count(self):
-        # the ccdf is constant past the window, so the count's size beyond it cannot matter
-        dist = DiscreteDistribution(HookedPowerLawParams(2.5, 3.0), 2)
-        rest = (2, 2, 3, 5, 8, 40)
-        huge = truncate(CountDataset(rest + (2**63 - 1,)), 2)
-        edge = truncate(CountDataset(rest + (2 + NORMALIZATION_TERMS,)), 2)
-        assert ks_distance(dist, huge) == ks_distance(dist, edge)
+    @pytest.mark.parametrize("x_min, rest", [(2, (2, 2, 3, 5, 8, 40)),
+                                             (2**63 - 2, (2**63 - 2,) * 5)],
+                             ids=["2", "2**63-2"])
+    def test_ks_distance_at_largest_int64_count(self, x_min, rest):
+        dist = DiscreteDistribution(HookedPowerLawParams(2.5, 3.0), x_min)
+        huge = truncate(CountDataset(rest + (2**63 - 1,)), x_min)
+        # the model CDF at v sums the pmf from x_min to v, or over the whole
+        # window past its end; at the second x_min the window runs past int64
+        ecdf = np.cumsum(huge.multiplicities) / huge.n_tail
+        model = [float(dist.pmf(x_min + np.arange(min(v - x_min + 1, NORMALIZATION_TERMS))).sum())
+                 for v in huge.values.tolist()]
+        assert ks_distance(dist, huge) == pytest.approx(float(np.abs(ecdf - model).max()),
+                                                        rel=1e-12, abs=0)
+        if x_min + NORMALIZATION_TERMS < 2**63:
+            # the CDF is constant past the window, so the count's size beyond it cannot matter
+            edge = truncate(CountDataset(rest + (x_min + NORMALIZATION_TERMS,)), x_min)
+            assert ks_distance(dist, huge) == ks_distance(dist, edge)
 
     def test_ks_distance_zero_for_perfect_cdf_match(self):
         # empirical CDF exactly on the model CDF has distance ~0 at those points

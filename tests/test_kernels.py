@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +10,14 @@ from scipy.stats import chi2
 
 from citefit.dataset import CountDataset, truncate
 from citefit.errors import NonNormalizableError, ParameterError, SupportError
-from citefit.fitting import ks_distance
+from citefit.fitting import fit_hooked, fit_power_law, ks_distance
 from citefit.kernels import (
     DiscreteDistribution,
     DiscreteLognormalParams,
     HookedPowerLawParams,
     NORMALIZATION_TERMS,
     PowerLawParams,
+    PowerLawWindowSums,
     normalization_constant,
     normalization_constants,
     unnormalized_weight,
@@ -71,6 +73,65 @@ class TestUnnormalizedWeight:
             DiscreteLognormalParams(0.0, 0.0)
         with pytest.raises(SupportError):
             unnormalized_weight(PowerLawParams(2.0), 0)
+
+
+def fsum_window_sums(alpha, offset):
+    """``S_k``, the sum of ``w_j l_j**k`` over the window, term by term with ``math.fsum``."""
+    ell = [math.log1p(j / offset) for j in range(NORMALIZATION_TERMS)]
+    w = [math.exp(-alpha * x) for x in ell]
+    return (math.fsum(w), math.fsum(a * x for a, x in zip(w, ell)),
+            math.fsum(a * x * x for a, x in zip(w, ell)))
+
+
+class TestPowerLawWindowSums:
+    ALPHAS = (1 + 1e-9, 1.01, 1.5, 2.0, 3.0, 8.0, 20.0)
+
+    @pytest.mark.parametrize("x_min", [1, 5, 100, 5000])
+    @pytest.mark.parametrize("B", [-0.999, 0.0, 10.0, 1e3, 1e6])
+    def test_against_the_explicit_window(self, B, x_min):
+        sums = PowerLawWindowSums(B + x_min)
+        for alpha in self.ALPHAS:
+            s0, s1, s2 = sums(alpha)
+            r0, r1, r2 = fsum_window_sums(alpha, B + x_min)
+            assert s0 == pytest.approx(r0, rel=1e-13, abs=0)
+            assert s1 == pytest.approx(r1, rel=1e-12, abs=0)
+            assert s2 == pytest.approx(r2, rel=1e-12, abs=0)
+            # alpha + 1 gives E_p[1 / (B + x)], the d/dB term of the hooked fit
+            assert sums(alpha + 1)[0] == pytest.approx(fsum_window_sums(alpha + 1, B + x_min)[0],
+                                                       rel=1e-12, abs=0)
+            norm = math.fsum((B + x_min + j) ** -alpha for j in range(NORMALIZATION_TERMS))
+            dist = DiscreteDistribution(HookedPowerLawParams(alpha, B), x_min)
+            assert dist.norm_const == pytest.approx(norm, rel=1e-13, abs=0)
+
+    def test_score_mean_as_alpha_tends_to_one_at_the_largest_offset(self):
+        # the naive tail integral y**(1 - alpha) / (1 - alpha) loses this mean at 5e-4
+        for x_min in (1, 5, 100, 5000):
+            s0, s1, _ = PowerLawWindowSums(1e6 + x_min)(1 + 1e-9)
+            r0, r1, _ = fsum_window_sums(1 + 1e-9, 1e6 + x_min)
+            assert s1 / s0 == pytest.approx(r1 / r0, rel=1e-12, abs=0)
+
+    def test_finite_without_warnings_at_huge_x_min(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for B in (-0.999, 0.0, 1e6):
+                sums = PowerLawWindowSums(B + 2**62)
+                for alpha in self.ALPHAS + (21.0,):
+                    assert all(math.isfinite(s) and s >= 0 for s in sums(alpha))
+                assert math.isfinite(HookedPowerLawParams(20.0, B).log_normalizer(2**62))
+
+    def test_no_window_pass_for_the_power_laws(self):
+        # a window of floats takes 80 kB; the closed form and its fitters need none
+        view = truncate(CountDataset((7, 7, 8, 9, 12, 15, 30, 31, 90, 400)), 7)
+        tracemalloc.start()
+        try:
+            for params in (PowerLawParams(2.5), HookedPowerLawParams(3.0, 10.0)):
+                DiscreteDistribution(params, 7)
+            fit_power_law(view)
+            fit_hooked(view)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * NORMALIZATION_TERMS // 2
 
 
 class TestNormalization:
