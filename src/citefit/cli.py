@@ -109,6 +109,13 @@ def _flatten_fit(report: dict) -> dict:
     return flat
 
 
+def _scan_candidates(args, data) -> list[int]:
+    """The ``--x-min-range`` candidates; by default every distinct observed count."""
+    if args.x_min_range:
+        return [int(v) for v in parse_axis(args.x_min_range)]
+    return data.values.tolist()
+
+
 # ---------------------------------------------------------------- commands
 
 
@@ -132,12 +139,7 @@ def cmd_fit(args):
 
 def cmd_scan(args):
     data = load_counts(args.input, args.input_format)
-    candidates = (
-        [int(v) for v in parse_axis(args.x_min_range)]
-        if args.x_min_range
-        else data.values.tolist()
-    )
-    result = scan_x_min(data, args.dist, candidates)
+    result = scan_x_min(data, args.dist, _scan_candidates(args, data))
     entries = []
     for entry in result.per_xmin:
         row = _flatten_fit(_fit_report(args.dist, entry.fit))
@@ -188,12 +190,7 @@ def cmd_analyze(args):
         policy, x_min = "all-cited", 1
     elif args.x_min == "scan":
         policy = f"scan-{args.scan_dist}"
-        candidates = (
-            [int(v) for v in parse_axis(args.x_min_range)]
-            if args.x_min_range
-            else data.values.tolist()
-        )
-        x_min = scan_x_min(data, args.scan_dist, candidates).best_x_min
+        x_min = scan_x_min(data, args.scan_dist, _scan_candidates(args, data)).best_x_min
     else:
         try:
             x_min = int(args.x_min)
@@ -309,18 +306,7 @@ def cmd_ridge(args):
     report = simulation.ridge_demo(args.alpha, args.B, n=args.n, seed=args.seed)
     if not report.fit_converged:
         _diag("warning: hooked fit did not converge")
-    payload = report.to_json_dict()
-    row = {
-        "true_alpha": report.true_alpha,
-        "true_B": report.true_B,
-        "fitted_alpha": report.fitted_alpha,
-        "fitted_B": report.fitted_B,
-        "neg_ll_true": report.neg_ll_true,
-        "neg_ll_fitted": report.neg_ll_fitted,
-        "neg_ll_hybrid": report.neg_ll_hybrid,
-        "fit_converged": report.fit_converged,
-    }
-    return payload, [row]
+    return report.to_json_dict(), [dataclasses.asdict(report)]
 
 
 def cmd_slope_threshold(args):

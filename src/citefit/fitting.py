@@ -7,20 +7,21 @@ in the family's natural parameters, and its Hessian there is exact:
 ``n`` times a covariance under the window's normalized weights ``p``.
 The solvers use that and need nothing beyond numpy:
 
-* power law and hooked power law: one exact 1-D score solver. The hooked
+* power law and hooked power law: one root-finder for every 1-D solve,
+  :func:`_newton_root`, safeguarded Newton inside a bracket. The hooked
   weight ``(B + x)**-alpha`` is the power law shifted by ``B``. For any
   fixed ``B``, ``alpha`` is the natural parameter of ``log(B + x)``, so
   the score in ``alpha`` is increasing, with derivative
-  ``n Var_p[log(B + x)]``; :func:`_alpha_at` finds its root by
-  safeguarded Newton. It reads the window's normalizer and both moments
-  of ``log(B + x)`` from :class:`~citefit.kernels.PowerLawWindowSums` in
-  constant time, so no step sums the window term by term. The power law
-  is that solve at ``B = 0``. The hooked fit profiles it over
-  ``log(B + 1)``: a fixed grid, then Brent's root (:func:`_brent_root`)
-  of the profile's slope, which is the analytic ``d/dB`` of the
-  objective. The profile follows the long diagonal valley in which
-  increases in ``alpha`` trade off against increases in ``B``, which
-  makes the 2-D problem badly conditioned for gradient descent.
+  ``n Var_p[log(B + x)]``; :func:`_alpha_at` finds its root. It reads the
+  window's normalizer and the moments it needs from
+  :class:`~citefit.kernels.PowerLawWindowSums` in constant time, so no
+  step sums the window term by term. The power law is that solve at
+  ``B = 0``. The hooked fit profiles it over ``log(B + 1)``: a fixed
+  grid, then the root of the profile's slope, which is the analytic
+  ``d/dB`` of the objective, with the profile's exact curvature as the
+  slope's derivative. The profile follows the long diagonal valley in
+  which increases in ``alpha`` trade off against increases in ``B``,
+  which makes the 2-D problem badly conditioned for gradient descent.
 * discrete lognormal: damped Newton in the natural parameters
   ``eta = (mu / sigma**2, -1 / (2 sigma**2))`` of ``T = (ln x, ln**2 x)``,
   started from the moments of ``ln x``. The ``(mu, sigma)`` box is four
@@ -78,12 +79,15 @@ LOGNORMAL_MAX_ITER = 200
 
 _ALPHA_LO = ALPHA_MIN + 1e-9
 _B_LO = B_MIN + 1e-9
-#: Root tolerance: absolute plus relative to the root, as in Brent's zeroin.
+#: Root tolerance of :func:`_newton_root`: absolute plus relative to the root.
 _ROOT_XTOL = 1e-14
 _ROOT_RTOL = 4.0 * sys.float_info.epsilon
 _ROOT_MAX_ITER = 100
 #: Profile points on the log(B + 1) grid that brackets the hooked optimum.
 _PROFILE_GRID = 40
+#: Rounding level of the profile slope, relative to the size of its two
+#: terms: near the root it scatters by up to 1e-14 of that size.
+_SLOPE_ROUNDING = 1e-13
 #: Lognormal Newton: Armijo's sufficient-decrease share, the most halvings
 #: of a step, and the Newton decrement per observation below which the
 #: step taken is the last (the error left after it is below rounding).
@@ -191,47 +195,52 @@ def _projected_gradient_norm(theta, grad, bounds) -> float:
                         for x, g, (lo, hi) in zip(theta, grad, bounds)))
 
 
-def _brent_root(f, xa: float, xb: float, args=()) -> float:
-    """Root of ``f(x, *args)`` between ``xa`` and ``xb``, across which ``f`` changes sign.
+def _newton_root(fn, lo: float, hi: float, start: float, bracketed: bool = False):
+    """Root in ``[lo, hi]`` of a value that rises through zero there, by safeguarded Newton.
 
-    Brent's zeroin: inverse quadratic interpolation or secant steps, with
-    a bisection whenever they would not shrink the bracket fast enough.
-    Stops once the bracket is narrower than
-    ``_ROOT_XTOL + _ROOT_RTOL * |x|``, or after ``_ROOT_MAX_ITER`` steps.
+    ``fn(x)`` returns ``(value, derivative, ...)``. Newton's steps start
+    from ``start`` and keep a bracket of the root: a step that leaves it
+    goes to the end on that side while that end is unevaluated, otherwise
+    bisects, as does a step that fails to halve the last one. A derivative
+    that is not positive counts as a step out of the bracket.
+    ``bracketed`` says the value is already known to be negative at ``lo``
+    and positive at ``hi``, so neither end is tried. An end whose value
+    points out of the interval (``>= 0`` at ``lo``, ``<= 0`` at ``hi``)
+    holds the root there. Stops at a zero value, or once a step is below
+    ``_ROOT_XTOL + _ROOT_RTOL * |x|``, or after ``_ROOT_MAX_ITER``
+    evaluations. Returns the last ``x`` evaluated, ``fn(x)`` there and the
+    number of evaluations.
     """
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre, *args), f(xcur, *args)
-    if fpre == 0.0:
-        return xpre
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_ROOT_MAX_ITER):
-        if fpre * fcur < 0.0:  # the root lies between xpre and xcur
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):  # keep the better end in xcur
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
+    lo_end, hi_end = lo, hi
+    lo_seen = hi_seen = bracketed  # whether lo / hi carry an evaluated value
+    x = min(max(start, lo), hi)
+    last_step = hi - lo
+    for evaluations in range(1, _ROOT_MAX_ITER + 1):
+        result = fn(x)
+        value, derivative = result[:2]
+        if value >= 0.0 and x == lo_end or value <= 0.0 and x == hi_end or value == 0.0:
+            break
+        if value > 0.0:
+            hi, hi_seen = x, True
         else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else math.copysign(delta, sbis)
-        fcur = f(xcur, *args)
-    return xcur
+            lo, lo_seen = x, True
+        new = x - value / derivative if derivative > 0.0 else math.copysign(math.inf, -value)
+        tol = _ROOT_XTOL + _ROOT_RTOL * abs(x)
+        if abs(new - x) <= tol:
+            break
+        if not lo < new < hi:
+            if new >= hi and not hi_seen:
+                new = hi
+            elif new <= lo and not lo_seen:
+                new = lo
+            else:
+                new = 0.5 * (lo + hi)
+        elif lo_seen and hi_seen and abs(new - x) > 0.5 * abs(last_step):
+            new = 0.5 * (lo + hi)
+        if abs(new - x) <= tol or evaluations == _ROOT_MAX_ITER:
+            break
+        last_step, x = new - x, new
+    return x, result, evaluations
 
 
 def fit_power_law(data: TruncatedView) -> FitResult:
@@ -262,6 +271,8 @@ class _ProfilePoint(NamedTuple):
     iterations: int
     neg_log_likelihood: float
     grad: tuple[float, float]  # d/d alpha, d/d B of the objective
+    #: d slope / dt, the profile's second derivative; NaN unless asked for
+    curvature: float = math.nan
 
     @property
     def slope(self) -> float:
@@ -286,23 +297,35 @@ def _continuous_alpha(stats: _TailStats, b: float, data: float) -> float:
     return 1.0 + stats.n / spread if spread > 0.0 else ALPHA_MAX
 
 
-def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _ProfilePoint:
+def _alpha_at(stats: _TailStats, b: float, start: float | None = None,
+              curvature: bool = False) -> _ProfilePoint:
     """MLE of alpha with the hooked offset held at ``b`` (``b = 0``: power law).
 
     For fixed ``b`` the objective ``alpha * sum c log(b + v) + n log Z`` is
     convex in alpha (a linear data term plus a log-sum-exp of linear
     functions), so its derivative, the score ``n (E_data - E_p)[log(b + x)]``,
-    is increasing, with derivative ``n Var_p[log(b + x)]``. Safeguarded
-    Newton from ``start`` (default: the continuous MLE) finds its root in
-    ``[_ALPHA_LO, ALPHA_MAX]``, keeping a bracket: a step that leaves it
-    goes to the box end on that side when that end is still unevaluated,
-    otherwise bisects, as does a step that fails to halve the last one.
-    A box end whose score points out of the box pins the optimum there.
+    is increasing, with derivative ``n Var_p[log(b + x)]``.
+    :func:`_newton_root` finds its root in ``[_ALPHA_LO, ALPHA_MAX]``
+    from ``start`` (default: the continuous MLE). A box end whose score
+    points out of the box pins the optimum there.
 
     The window enters through its sums ``S_k`` of ``w l**k``, with
     ``l = log((b + x) / (b + x_min))`` and ``w = exp(-alpha l)``: then
-    ``E_p[l] = S_1 / S_0``, ``Var_p[l] = S_2 / S_0 - E_p[l]**2``, and
-    ``E_p[1 / (b + x)]`` is ``S_0`` at ``alpha + 1`` over ``(b + x_min) S_0``.
+    ``E_p[l] = S_1 / S_0``, ``Var_p[l] = S_2 / S_0 - E_p[l]**2``, and, with
+    ``y0 = b + x_min``, ``E_p[1 / (b + x)] = S_0(alpha + 1) / (y0 S_0)``,
+    ``E_p[l / (b + x)] = S_1(alpha + 1) / (y0 S_0)`` and
+    ``E_p[(b + x)**-2] = S_0(alpha + 2) / (y0**2 S_0)``.
+
+    With ``curvature`` the point also carries the profile's second
+    derivative in ``t = log(b + 1)``,
+    ``(b + 1)**2 (f_BB - f_aB**2 / f_aa) + (b + 1) f_B``, from the exact
+    second derivatives of the objective ``f`` (``f_BB`` alone where alpha
+    is pinned):
+
+    * ``f_aa = n Var_p[l]``
+    * ``f_aB = sum c / (b + v) - n E_p[1 / (b + x)] + n alpha Cov_p[l, 1 / (b + x)]``
+    * ``f_BB = -alpha sum c / (b + v)**2 + n alpha E_p[(b + x)**-2]
+      + n alpha**2 Var_p[1 / (b + x)]``
     """
     sums = PowerLawWindowSums(b + stats.x_min)
     log_edge = sums.log_offset
@@ -311,51 +334,37 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _Profi
     if start is None:
         start = _continuous_alpha(stats, b, data)
 
-    lo, hi = _ALPHA_LO, ALPHA_MAX  # the root lies in [lo, hi]
-    lo_seen = hi_seen = False  # whether lo / hi carry an evaluated score
-    alpha = min(max(start, lo), hi)
-    last_step, pinned = hi - lo, False
-    for iterations in range(1, _ROOT_MAX_ITER + 1):
+    def score(alpha):
         z, s1, s2 = sums(alpha)
         mean = s1 / z
-        score = stats.n * (target - mean)
-        if score >= 0.0 and alpha == _ALPHA_LO or score <= 0.0 and alpha == ALPHA_MAX:
-            pinned = True
-            break
-        if score == 0.0:
-            break
-        if score > 0.0:
-            hi, hi_seen = alpha, True
-        else:
-            lo, lo_seen = alpha, True
-        curvature = stats.n * (s2 / z - mean * mean)
-        new = alpha - score / curvature if curvature > 0.0 else math.copysign(math.inf, -score)
-        if abs(new - alpha) <= _ROOT_XTOL + _ROOT_RTOL * alpha:
-            break
-        if not lo < new < hi:
-            if new >= hi and not hi_seen:
-                new = hi
-            elif new <= lo and not lo_seen:
-                new = lo
-            else:
-                new = 0.5 * (lo + hi)
-        elif lo_seen and hi_seen and abs(new - alpha) > 0.5 * abs(last_step):
-            new = 0.5 * (lo + hi)
-        if abs(new - alpha) <= _ROOT_XTOL + _ROOT_RTOL * alpha:
-            break
-        last_step, alpha = new - alpha, new
+        return stats.n * (target - mean), stats.n * (s2 / z - mean * mean), z, mean
 
+    alpha, (grad_a, f_aa, z, mean), iterations = _newton_root(score, _ALPHA_LO, ALPHA_MAX, start)
+    pinned = grad_a >= 0.0 and alpha == _ALPHA_LO or grad_a <= 0.0 and alpha == ALPHA_MAX
+    inverse = 1.0 / (b + stats.values)
+    data_inverse = float(stats.counts @ inverse)
+    z1, s1_1, _ = sums(alpha + 1.0)
+    grad_b = alpha * data_inverse - alpha * stats.n * z1 / (sums.offset * z)
+    second = math.nan
+    if curvature:
+        n, u = stats.n, b + 1.0
+        mean_inverse = z1 / (sums.offset * z)
+        mean_square = sums(alpha + 2.0)[0] / (sums.offset * sums.offset * z)
+        f_bb = (-alpha * float(stats.counts @ (inverse * inverse)) + n * alpha * mean_square
+                + n * alpha * alpha * (mean_square - mean_inverse * mean_inverse))
+        if not pinned:
+            f_ab = (data_inverse - n * mean_inverse
+                    + n * alpha * (s1_1 / (sums.offset * z) - mean * mean_inverse))
+            f_bb -= f_ab * f_ab / f_aa
+        second = u * u * f_bb + u * grad_b
     return _ProfilePoint(
         alpha=alpha,
         b=b,
         pinned=pinned,
         iterations=iterations,
         neg_log_likelihood=alpha * data + stats.n * (math.log(z) - alpha * log_edge),
-        grad=(
-            score,
-            alpha * float(stats.counts @ (1.0 / (b + stats.values)))
-            - alpha * stats.n * sums(alpha + 1.0)[0] / (sums.offset * z),
-        ),
+        grad=(grad_a, grad_b),
+        curvature=second,
     )
 
 
@@ -561,22 +570,9 @@ def fit_lognormal(data: TruncatedView) -> FitResult:
                        point.gradient_norm)
 
 
-def _profile_at(t: float, stats: _TailStats, profiled: dict) -> _ProfilePoint:
-    """Profile point at ``B = exp(t) - 1`` (kept in the box).
-
-    Memoised in ``profiled`` by ``t``; a new point's Newton solve starts
-    from the alpha of the point evaluated last.
-    """
-    point = profiled.get(t)
-    if point is None:
-        start = profiled[next(reversed(profiled))].alpha if profiled else None
-        point = _alpha_at(stats, min(max(math.expm1(t), _B_LO), B_MAX), start)
-        profiled[t] = point
-    return point
-
-
-def _profile_slope(t: float, stats: _TailStats, profiled: dict) -> float:
-    return _profile_at(t, stats, profiled).slope
+def _offset(t: float) -> float:
+    """The offset ``B = exp(t) - 1`` of the profile coordinate ``t``, kept in the box."""
+    return min(max(math.expm1(t), _B_LO), B_MAX)
 
 
 def fit_hooked(data: TruncatedView) -> FitResult:
@@ -584,12 +580,14 @@ def fit_hooked(data: TruncatedView) -> FitResult:
 
     The objective is minimised over ``t = log(B + 1)`` on
     ``[B_MIN, B_MAX]``, with alpha solved exactly at each ``B`` by
-    :func:`_alpha_at`. A fixed grid of profile points locates the best
-    region; between the best point and the neighbour across which the
-    profile slope changes sign, :func:`_brent_root` finds the root of that
-    slope. By the envelope theorem the slope is the exact
-    ``d objective / dB`` at ``(alpha(B), B)``, times ``B + 1``. The lower of
-    the grid point and the root is returned. ``converged`` means the
+    :func:`_alpha_at`, each solve starting from the alpha of the point
+    before. A fixed grid of profile points locates the best region;
+    between the best point and the neighbour across which the profile
+    slope changes sign, :func:`_newton_root` finds the root of that slope,
+    starting from the secant of the two. By the envelope theorem the slope
+    is the exact ``d objective / dB`` at ``(alpha(B), B)``, times
+    ``B + 1``; its derivative is the profile's exact curvature. The lower
+    of the grid point and the root is returned. ``converged`` means the
     projected analytic gradient there is below ``HOOKED_GRAD_TOL``;
     ``iterations`` counts the profile points evaluated.
     """
@@ -599,22 +597,35 @@ def fit_hooked(data: TruncatedView) -> FitResult:
     if stats.degenerate:
         raise DegenerateDataError("hooked-power-law fit needs at least two distinct values")
 
-    profiled: dict[float, _ProfilePoint] = {}
     grid = np.linspace(math.log1p(_B_LO), math.log1p(B_MAX), _PROFILE_GRID).tolist()
-    points = [_profile_at(t, stats, profiled) for t in grid]
+    points = []
+    for t in grid:
+        points.append(_alpha_at(stats, _offset(t), points[-1].alpha if points else None))
     k = min(range(_PROFILE_GRID), key=lambda i: points[i].neg_log_likelihood)
-    best = points[k]
+    best, iterations = points[k], _PROFILE_GRID
     side = k + 1 if best.slope < 0.0 else k - 1
     if 0 <= side < _PROFILE_GRID and points[side].slope * best.slope < 0.0:
-        lo, hi = sorted((grid[k], grid[side]))
-        root = _profile_at(_brent_root(_profile_slope, lo, hi, args=(stats, profiled)),
-                           stats, profiled)
-        if root.neg_log_likelihood < best.neg_log_likelihood:
-            best = root
+        (lo, slope_lo), (hi, slope_hi) = sorted(((grid[k], best.slope),
+                                                 (grid[side], points[side].slope)))
+        path = [best]
+
+        def slope(t):
+            point = _alpha_at(stats, _offset(t), path[-1].alpha, curvature=True)
+            path.append(point)
+            # the slope is a difference of two terms of this size; below its
+            # rounding level it is zero, which no Newton step can resolve
+            size = point.alpha * float(stats.counts @ (1.0 / (point.b + stats.values)))
+            rounding = _SLOPE_ROUNDING * size * (point.b + 1.0)
+            return point.slope if abs(point.slope) > rounding else 0.0, point.curvature
+
+        secant = lo - slope_lo * (hi - lo) / (slope_hi - slope_lo)
+        iterations += _newton_root(slope, lo, hi, secant, bracketed=True)[2]
+        if path[-1].neg_log_likelihood < best.neg_log_likelihood:
+            best = path[-1]
     grad_norm = _projected_gradient_norm((best.alpha, best.b), best.grad,
                                          ((_ALPHA_LO, ALPHA_MAX), (_B_LO, B_MAX)))
     return _fit_result(HookedPowerLawParams(best.alpha, best.b), data,
-                       grad_norm < HOOKED_GRAD_TOL, len(profiled), grad_norm)
+                       grad_norm < HOOKED_GRAD_TOL, iterations, grad_norm)
 
 
 FITTERS: dict[str, Callable[[TruncatedView], FitResult]] = {

@@ -27,6 +27,12 @@ window whenever the tail decays slowly (``heavy_tailed``: ``alpha <= 2``
 for the power laws, ``sigma > 2`` for the lognormal); for ``alpha = 2``
 at ``x_min = 1`` it reproduces pi**2/6 to near machine precision.
 
+Support convention: the distribution lives on that window,
+``x_min .. x_min + 9999``. ``cdf``, ``ccdf`` and ``sample`` are taken
+over it: ``sample`` draws only there, and past it ``cdf`` is the
+window's whole mass and ``ccdf`` its complement. ``log_pmf`` past the
+window is still the kernel over the window's normalizer.
+
 All lognormal evaluation is done in log space to avoid underflow at
 extreme parameter values (fits on real citation data can reach location
 parameters of several hundred below zero).
@@ -50,11 +56,6 @@ _HEAD_TERMS = 16
 #: ``B_2m / (2m)!`` for m = 1..4, the Euler-Maclaurin coefficients of the
 #: derivatives of odd order 1, 3, 5 and 7.
 _BERNOULLI = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
-
-#: Sampler stops extending its cumulative table at this mass...
-CUMULATIVE_CAP = 1.0 - 1e-12
-#: ...or at this many tabulated support points, whichever comes first.
-MAX_TABLE_LENGTH = 1 << 24
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -407,13 +408,11 @@ class DiscreteDistribution:
         return float(out[0]) if scalar else out
 
     def sample(self, n: int, seed) -> np.ndarray:
-        """Draw ``n`` i.i.d. values by inverse-CDF search.
+        """Draw ``n`` i.i.d. values on the window by inverse-CDF search.
 
-        The cumulative table starts at the normalization window and is
-        lazily extended (doubling) until it covers the largest drawn
-        uniform, capped at cumulative mass ``1 - 1e-12``; draws beyond
-        the cap clamp to the last tabulated value. Output is a fixed
-        function of ``seed``.
+        A uniform draw past the window's cumulative mass, which rounding
+        can leave short of one, takes the window's last point. Output is
+        a fixed function of ``seed``.
 
         Parameters
         ----------
@@ -424,22 +423,6 @@ class DiscreteDistribution:
         """
         if n < 1:
             raise ParameterError(f"sample size must be >= 1, got {n}")
-        rng = np.random.default_rng(seed)
-        targets = np.minimum(rng.random(n), CUMULATIVE_CAP)
-        pieces = [self._window_cum]
-        total = len(self._window_cum)
-        reach = float(self._window_cum[-1])
-        need = float(targets.max())
-        while reach < need and total < MAX_TABLE_LENGTH:
-            size = min(total, MAX_TABLE_LENGTH - total)
-            xs = np.arange(self.x_min + total, self.x_min + total + size, dtype=float)
-            chunk = reach + np.cumsum(np.exp(self.params.log_weight(xs) - self._log_norm))
-            if chunk[-1] <= reach:  # weights underflowed; no more mass reachable
-                break
-            pieces.append(chunk)
-            reach = float(chunk[-1])
-            total += size
-        cum = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        idx = np.searchsorted(cum, targets, side="left")
-        idx = np.minimum(idx, len(cum) - 1)  # clamp beyond the cap
-        return (self.x_min + idx).astype(np.int64)
+        cum = self._window_cum
+        idx = np.searchsorted(cum, np.random.default_rng(seed).random(n), side="left")
+        return (self.x_min + np.minimum(idx, len(cum) - 1)).astype(np.int64)

@@ -35,7 +35,7 @@ from .errors import (
     ParameterError,
     UsageError,
 )
-from .fitting import fit_hooked, fit_kind, fit_lognormal, neg_log_likelihood
+from .fitting import fit_hooked, fit_kind, neg_log_likelihood
 from .kernels import (
     FAMILIES,
     DiscreteDistribution,
@@ -112,30 +112,38 @@ def _interquantile_width(values: list[float]) -> float:
     return float(hi - lo)
 
 
-def _run_cells(row_values, col_values, replicates, cell, record_count=1):
-    """Shared replicate loop.
+def _run_cells(row_values, col_values, replicates, seed, x_min, kind, targets, cell):
+    """Shared replicate loop of the precision studies.
 
-    ``cell(i, j)`` sets up grid cell (i, j) once and returns its replicate
-    function: ``run_one(r)`` gives per-target values, or None to exclude.
+    ``cell(i, j)`` gives grid cell (i, j)'s generating distribution and
+    sample size, built once per cell. Replicate r draws from it with
+    :func:`replicate_seed` ``(seed, i, j, r)``, fits ``kind`` back to the
+    tail from ``x_min`` and records the fitted parameters named in
+    ``targets``; a fit that is degenerate or does not converge is
+    excluded instead.
     """
     shape = (len(row_values), len(col_values))
-    widths = [np.full(shape, np.nan) for _ in range(record_count)]
+    widths = [np.full(shape, np.nan) for _ in targets]
     exclusions = np.zeros(shape, dtype=int)
     flagged = np.zeros(shape, dtype=bool)
     for i in range(shape[0]):
         for j in range(shape[1]):
-            run_one = cell(i, j)
-            recorded = [[] for _ in range(record_count)]
+            gen, n = cell(i, j)
+            recorded = [[] for _ in targets]
             for r in range(replicates):
-                outcome = run_one(r)
-                if outcome is None:
+                sample = gen.sample(n, replicate_seed(seed, i, j, r))
+                try:
+                    fit = fit_kind(truncate(CountDataset(sample), x_min), kind)
+                except DegenerateDataError:
+                    fit = None
+                if fit is None or not fit.converged:
                     exclusions[i, j] += 1
                     continue
-                for store, value in zip(recorded, outcome):
-                    store.append(value)
-            for t in range(record_count):
-                if len(recorded[t]) >= 2:
-                    widths[t][i, j] = _interquantile_width(recorded[t])
+                for store, name in zip(recorded, targets):
+                    store.append(getattr(fit.params, name))
+            for width, values in zip(widths, recorded):
+                if len(values) >= 2:
+                    width[i, j] = _interquantile_width(values)
             if (
                 exclusions[i, j] > EXCLUSION_FLAG_FRACTION * replicates
                 or len(recorded[0]) < 2
@@ -173,24 +181,11 @@ def ci_width_study(
 
     def cell(i, j):
         if kind == "hooked":
-            gen = DiscreteDistribution(HookedPowerLawParams(alphas[i], B), x_min)
-        else:
-            gen = DiscreteDistribution(PowerLawParams(alphas[i]), x_min)
+            return DiscreteDistribution(HookedPowerLawParams(alphas[i], B), x_min), sizes[j]
+        return DiscreteDistribution(PowerLawParams(alphas[i]), x_min), sizes[j]
 
-        def run_one(r):
-            sample = gen.sample(sizes[j], replicate_seed(seed, i, j, r))
-            view = truncate(CountDataset(sample), x_min)
-            try:
-                fit = fit_kind(view, kind)
-            except DegenerateDataError:
-                return None
-            if not fit.converged:
-                return None
-            return (fit.params.alpha,)
-
-        return run_one
-
-    widths, exclusions, flagged = _run_cells(alphas, sizes, replicates, cell)
+    widths, exclusions, flagged = _run_cells(alphas, sizes, replicates, seed, x_min, kind,
+                                             ("alpha",), cell)
     return CIWidthGrid(
         target_parameter="alpha",
         row_name="alpha",
@@ -219,22 +214,10 @@ def lognormal_ci_study(
     sigmas = tuple(float(s) for s in sigma_grid)
 
     def cell(i, j):
-        gen = DiscreteDistribution(DiscreteLognormalParams(mus[i], sigmas[j]), x_min)
+        return DiscreteDistribution(DiscreteLognormalParams(mus[i], sigmas[j]), x_min), n
 
-        def run_one(r):
-            sample = gen.sample(n, replicate_seed(seed, i, j, r))
-            view = truncate(CountDataset(sample), x_min)
-            try:
-                fit = fit_lognormal(view)
-            except DegenerateDataError:
-                return None
-            if not fit.converged:
-                return None
-            return (fit.params.mu, fit.params.sigma)
-
-        return run_one
-
-    widths, exclusions, flagged = _run_cells(mus, sigmas, replicates, cell, record_count=2)
+    widths, exclusions, flagged = _run_cells(mus, sigmas, replicates, seed, x_min, "ln",
+                                             ("mu", "sigma"), cell)
     grids = []
     for target, width_arr in zip(("mu", "sigma"), widths):
         grids.append(

@@ -8,8 +8,11 @@ from citefit.dataset import CountDataset, truncate
 from citefit.errors import DegenerateDataError, ScanError, UsageError
 from citefit.fitting import (
     HOOKED_GRAD_TOL,
+    _alpha_at,
     _lognormal_point,
     _LognormalStats,
+    _offset,
+    _TailStats,
     fit_hooked,
     fit_lognormal,
     fit_power_law,
@@ -390,6 +393,14 @@ class TestFitHooked:
         assert fit.converged
         assert projected_hooked_gradient(fit.params, view) < HOOKED_GRAD_TOL
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_slope_root_takes_few_profile_points(self, seed):
+        # the 40-point grid, then Newton on the slope; near the root the slope
+        # scatters at its rounding level, where the root phase must stop
+        # rather than bisect down to the step tolerance
+        view = sample_view(HookedPowerLawParams(6.0, 10.0), 2000, seed)
+        assert fit_hooked(view).iterations <= 40 + 6
+
     def test_compensation_ridge_rank_correlation(self):
         # fitted alpha and B move together across replicates
         pairs = []
@@ -403,6 +414,38 @@ class TestFitHooked:
     def test_degenerate_data(self):
         with pytest.raises(DegenerateDataError):
             fit_hooked(truncate(CountDataset((3, 3, 3, 3)), 1))
+
+
+class TestProfileCurvature:
+    """The profile's exact second derivative in t = log(B + 1), which the hooked root phase steps on."""
+
+    @pytest.fixture(scope="class")
+    def stats(self):
+        return _TailStats(sample_view(HookedPowerLawParams(3.0, 10.0), 2000, seed=5))
+
+    @pytest.mark.parametrize("t", [0.5, 1.5, 2.4, 4.0, 8.0])
+    def test_matches_central_differences_of_the_slope(self, stats, t):
+        point = _alpha_at(stats, _offset(t), curvature=True)
+        h = 1e-5
+        central = (_alpha_at(stats, _offset(t + h)).slope
+                   - _alpha_at(stats, _offset(t - h)).slope) / (2 * h)
+        assert point.curvature == pytest.approx(central, rel=1e-6)
+
+    def test_pinned_alpha_leaves_the_offset_curvature_alone(self, stats):
+        # alpha pinned at its lower bound: the curvature is (B + 1)**2 f_BB + (B + 1) f_B,
+        # here summed over the explicit window
+        point = _alpha_at(stats, _offset(-5.0), curvature=True)
+        assert point.pinned and point.alpha == pytest.approx(ALPHA_MIN)
+        alpha, b, n = point.alpha, point.b, stats.n
+        window = np.arange(stats.x_min, stats.x_min + NORMALIZATION_TERMS, dtype=float)
+        log_w = -alpha * np.log(b + window)
+        p = np.exp(log_w - log_w.max())
+        p /= p.sum()
+        inv, data_inv = 1.0 / (b + window), 1.0 / (b + stats.values)
+        f_b = alpha * (stats.counts @ data_inv - n * (p @ inv))
+        f_bb = (-alpha * (stats.counts @ data_inv**2) + n * alpha * (p @ inv**2)
+                + n * alpha**2 * (p @ inv**2 - (p @ inv) ** 2))
+        assert point.curvature == pytest.approx((b + 1) ** 2 * f_bb + (b + 1) * f_b, rel=1e-9)
 
 
 class TestScanXmin:
