@@ -355,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scan-dist", choices=KINDS, default="pl",
                    help="distribution driving the scan policy (default pl)")
     p.add_argument("--x-min-range", default=None, help="candidates for the scan policy")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
     p = add("compare", cmd_compare, "pairwise test between two fitted distributions")
     add_input(p)

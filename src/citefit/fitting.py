@@ -271,6 +271,7 @@ class _ProfilePoint(NamedTuple):
     iterations: int
     neg_log_likelihood: float
     grad: tuple[float, float]  # d/d alpha, d/d B of the objective
+    data_inverse: float  # sum c / (b + v) over the data
     #: d slope / dt, the profile's second derivative; NaN unless asked for
     curvature: float = math.nan
 
@@ -364,6 +365,7 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None,
         iterations=iterations,
         neg_log_likelihood=alpha * data + stats.n * (math.log(z) - alpha * log_edge),
         grad=(grad_a, grad_b),
+        data_inverse=data_inverse,
         curvature=second,
     )
 
@@ -581,10 +583,13 @@ def fit_hooked(data: TruncatedView) -> FitResult:
     The objective is minimised over ``t = log(B + 1)`` on
     ``[B_MIN, B_MAX]``, with alpha solved exactly at each ``B`` by
     :func:`_alpha_at`, each solve starting from the alpha of the point
-    before. A fixed grid of profile points locates the best region;
-    between the best point and the neighbour across which the profile
-    slope changes sign, :func:`_newton_root` finds the root of that slope,
-    starting from the secant of the two. By the envelope theorem the slope
+    before. A fixed grid of profile points locates the best region. It
+    is kept because on a two-regime mixture the profile can have two local
+    minima, and a local search for the slope root can stop in the worse
+    one with ``converged`` just as true. Between the best grid point and
+    the neighbour across which the profile slope changes sign,
+    :func:`_newton_root` finds the root of that slope, starting from the
+    secant of the two. By the envelope theorem the slope
     is the exact ``d objective / dB`` at ``(alpha(B), B)``, times
     ``B + 1``; its derivative is the profile's exact curvature. The lower
     of the grid point and the root is returned. ``converged`` means the
@@ -614,7 +619,7 @@ def fit_hooked(data: TruncatedView) -> FitResult:
             path.append(point)
             # the slope is a difference of two terms of this size; below its
             # rounding level it is zero, which no Newton step can resolve
-            size = point.alpha * float(stats.counts @ (1.0 / (point.b + stats.values)))
+            size = point.alpha * point.data_inverse
             rounding = _SLOPE_ROUNDING * size * (point.b + 1.0)
             return point.slope if abs(point.slope) > rounding else 0.0, point.curvature
 
@@ -679,8 +684,5 @@ def scan_x_min(data: CountDataset, kind: str, x_min_range) -> XminScanResult:
         raise ScanError(
             f"no truncation candidate left a tail of at least {MIN_SCAN_TAIL} usable points"
         )
-    best = entries[0]
-    for entry in entries[1:]:
-        if entry.selection_score < best.selection_score:
-            best = entry
+    best = min(entries, key=lambda entry: entry.selection_score)  # the first of a tie
     return XminScanResult(best_x_min=best.x_min, per_xmin=tuple(entries))

@@ -21,11 +21,12 @@ its logarithm, ``log_normalizer(x_min)``. The lognormal sums the window
 term by term. The power-law families take it, with the two moments of
 ``log(B + x)`` that their fitter needs, from :class:`PowerLawWindowSums`:
 a 16-term head plus an Euler-Maclaurin tail, in scalar arithmetic and
-constant time. For reporting, a tail-corrected constant is also computed
-which appends the midpoint integral of the continuous kernel beyond the
-window whenever the tail decays slowly (``heavy_tailed``: ``alpha <= 2``
-for the power laws, ``sigma > 2`` for the lognormal); for ``alpha = 2``
-at ``x_min = 1`` it reproduces pi**2/6 to near machine precision.
+constant time. For reporting, :func:`normalization_constants` also gives
+a tail-corrected constant, which appends the midpoint integral of the
+continuous kernel beyond the window whenever the tail decays slowly
+(``heavy_tailed``: ``alpha <= 2`` for the power laws, ``sigma > 2`` for
+the lognormal); for ``alpha = 2`` at ``x_min = 1`` it reproduces pi**2/6
+to near machine precision.
 
 Support convention: the distribution lives on that window,
 ``x_min .. x_min + 9999``. ``cdf``, ``ccdf`` and ``sample`` are taken
@@ -278,23 +279,18 @@ class PowerLawWindowSums:
         return s0, s1, s2
 
 
-def log_unnormalized_weight(params: ParamSpec, x):
-    """Natural log of the kernel weight at integer points ``x >= 1``.
+def unnormalized_weight(params: ParamSpec, x):
+    """Kernel weight at integer points ``x >= 1``: ``x**-alpha``,
+    ``(B+x)**-alpha``, or the lognormal density
+    ``exp(-(ln x - mu)^2 / (2 sigma^2)) / (x sigma sqrt(2 pi))``.
 
     Accepts a scalar or array; returns the matching shape.
     """
     arr = np.asarray(x, dtype=float)
     if np.any(arr < 1):
         raise SupportError("kernel weights are defined for x >= 1")
-    scalar = arr.ndim == 0
     out = params.log_weight(np.atleast_1d(arr))
-    return float(out[0]) if scalar else out
-
-
-def unnormalized_weight(params: ParamSpec, x):
-    """Kernel weight at ``x``: ``x**-alpha``, ``(B+x)**-alpha``, or the
-    lognormal density ``exp(-(ln x - mu)^2 / (2 sigma^2)) / (x sigma sqrt(2 pi))``."""
-    return np.exp(log_unnormalized_weight(params, x))
+    return np.exp(float(out[0])) if arr.ndim == 0 else np.exp(out)
 
 
 @dataclass(frozen=True)
@@ -312,11 +308,12 @@ def normalization_constants(params: ParamSpec, x_min: int) -> NormalizationConst
     ``x_min`` (the pmf normalizer). ``tail_corrected`` appends the
     midpoint integral of the continuous kernel beyond the window when
     the tail decays slowly enough for the bare sum to be visibly short;
-    otherwise the two coincide. Both are read off
-    :class:`DiscreteDistribution`.
+    otherwise the two coincide.
     """
-    dist = DiscreteDistribution(params, x_min)
-    return NormalizationConstants(dist.norm_const, dist.norm_const_tail_corrected)
+    bare = DiscreteDistribution(params, x_min).norm_const
+    edge = x_min + NORMALIZATION_TERMS - 0.5  # midpoint rule past the window
+    tail = params.tail_integral(edge) if params.heavy_tailed else 0.0
+    return NormalizationConstants(bare, bare + tail)
 
 
 def normalization_constant(params: ParamSpec, x_min: int) -> float:
@@ -336,18 +333,13 @@ class DiscreteDistribution:
     params: ParamSpec
     x_min: int = 1
     norm_const: float = field(init=False, repr=False, compare=False)
-    norm_const_tail_corrected: float = field(init=False, repr=False, compare=False)
     _log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.x_min < 1:
             raise ParameterError(f"x_min must be >= 1, got {self.x_min}")
         log_norm = self.params.log_normalizer(self.x_min)
-        bare = math.exp(log_norm)
-        edge = self.x_min + NORMALIZATION_TERMS - 0.5  # midpoint rule past the window
-        tail = self.params.tail_integral(edge) if self.params.heavy_tailed else 0.0
-        object.__setattr__(self, "norm_const", bare)
-        object.__setattr__(self, "norm_const_tail_corrected", bare + tail)
+        object.__setattr__(self, "norm_const", math.exp(log_norm))
         object.__setattr__(self, "_log_norm", log_norm)
 
     @cached_property

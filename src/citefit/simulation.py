@@ -2,10 +2,12 @@
 
 The central question these answer: when data really does come from one
 of the kernels, how tightly can its parameters be recovered at realistic
-sample sizes? Each study cell simulates ``replicates`` datasets, fits
-each one, and reports the width of the 90% interval (5th to 95th
-percentile) of the fitted values. Non-convergent replicates are excluded
-and counted; a cell losing more than 10% of its replicates is flagged.
+sample sizes? Each study cell simulates ``replicates`` datasets from
+x_min = 1, fits each one there, and reports the width of the 90% interval
+(5th to 95th percentile) of the fitted values. Degenerate and
+non-convergent replicates are excluded and counted; a cell losing more
+than 10% of its replicates is flagged. Both studies run through one
+replicate loop, which returns their finished ``CIWidthGrid``s.
 
 Reproducibility: replicate r of grid cell (i, j) draws from a generator
 seeded with ``SeedSequence(seed, spawn_key=(i, j, r))``, so results are
@@ -23,7 +25,7 @@ a hooked law approximates its exponent to a given tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -93,18 +95,7 @@ class CIWidthGrid:
         return rows
 
     def to_json_dict(self) -> dict:
-        return {
-            "target_parameter": self.target_parameter,
-            "row_name": self.row_name,
-            "row_values": list(self.row_values),
-            "col_name": self.col_name,
-            "col_values": list(self.col_values),
-            "replicates": self.replicates,
-            "widths": [list(r) for r in self.widths],
-            "exclusions": [list(r) for r in self.exclusions],
-            "flagged": [list(r) for r in self.flagged],
-            "description": self.description,
-        }
+        return asdict(self)
 
 
 def _interquantile_width(values: list[float]) -> float:
@@ -112,16 +103,19 @@ def _interquantile_width(values: list[float]) -> float:
     return float(hi - lo)
 
 
-def _run_cells(row_values, col_values, replicates, seed, x_min, kind, targets, cell):
-    """Shared replicate loop of the precision studies.
+def _run_cells(rows, cols, replicates, seed, kind, targets, cell, description):
+    """The precision studies' replicate loop; returns one ``CIWidthGrid`` per target.
 
+    ``rows`` and ``cols`` are the grid's axes as ``(name, values)``
+    pairs, the values a tuple.
     ``cell(i, j)`` gives grid cell (i, j)'s generating distribution and
     sample size, built once per cell. Replicate r draws from it with
     :func:`replicate_seed` ``(seed, i, j, r)``, fits ``kind`` back to the
-    tail from ``x_min`` and records the fitted parameters named in
-    ``targets``; a fit that is degenerate or does not converge is
+    sample truncated at x_min = 1 and records the fitted parameters named
+    in ``targets``; a fit that is degenerate or does not converge is
     excluded instead.
     """
+    (row_name, row_values), (col_name, col_values) = rows, cols
     shape = (len(row_values), len(col_values))
     widths = [np.full(shape, np.nan) for _ in targets]
     exclusions = np.zeros(shape, dtype=int)
@@ -133,7 +127,7 @@ def _run_cells(row_values, col_values, replicates, seed, x_min, kind, targets, c
             for r in range(replicates):
                 sample = gen.sample(n, replicate_seed(seed, i, j, r))
                 try:
-                    fit = fit_kind(truncate(CountDataset(sample), x_min), kind)
+                    fit = fit_kind(truncate(CountDataset(sample), 1), kind)
                 except DegenerateDataError:
                     fit = None
                 if fit is None or not fit.converged:
@@ -149,22 +143,29 @@ def _run_cells(row_values, col_values, replicates, seed, x_min, kind, targets, c
                 or len(recorded[0]) < 2
             ):
                 flagged[i, j] = True
-    return widths, exclusions, flagged
+    return tuple(
+        CIWidthGrid(
+            target_parameter=target,
+            row_name=row_name,
+            row_values=row_values,
+            col_name=col_name,
+            col_values=col_values,
+            replicates=replicates,
+            widths=_as_grid(width),
+            exclusions=_as_grid(exclusions),
+            flagged=_as_grid(flagged),
+            description=description,
+        )
+        for target, width in zip(targets, widths)
+    )
 
 
 def _as_grid(arr) -> tuple[tuple, ...]:
     return tuple(tuple(row) for row in arr.tolist())
 
 
-def ci_width_study(
-    kind: str,
-    parameter_grid,
-    n_grid,
-    replicates: int,
-    seed: int,
-    B: float = DEFAULT_HOOKED_B,
-    x_min: int = 1,
-) -> CIWidthGrid:
+def ci_width_study(kind: str, parameter_grid, n_grid, replicates: int, seed: int,
+                   B: float = DEFAULT_HOOKED_B) -> CIWidthGrid:
     """Precision study for the scaling exponent.
 
     For each (alpha, n) cell: simulate ``replicates`` samples of size n
@@ -181,28 +182,16 @@ def ci_width_study(
 
     def cell(i, j):
         if kind == "hooked":
-            return DiscreteDistribution(HookedPowerLawParams(alphas[i], B), x_min), sizes[j]
-        return DiscreteDistribution(PowerLawParams(alphas[i]), x_min), sizes[j]
+            return DiscreteDistribution(HookedPowerLawParams(alphas[i], B)), sizes[j]
+        return DiscreteDistribution(PowerLawParams(alphas[i])), sizes[j]
 
-    widths, exclusions, flagged = _run_cells(alphas, sizes, replicates, seed, x_min, kind,
-                                             ("alpha",), cell)
-    return CIWidthGrid(
-        target_parameter="alpha",
-        row_name="alpha",
-        row_values=alphas,
-        col_name="n",
-        col_values=tuple(float(n) for n in sizes),
-        replicates=replicates,
-        widths=_as_grid(widths[0]),
-        exclusions=_as_grid(exclusions),
-        flagged=_as_grid(flagged),
-        description=f"{kind} generator" + (f", B={B}" if kind == "hooked" else ""),
-    )
+    description = f"{kind} generator" + (f", B={B}" if kind == "hooked" else "")
+    return _run_cells(("alpha", alphas), ("n", tuple(float(n) for n in sizes)),
+                      replicates, seed, kind, ("alpha",), cell, description)[0]
 
 
-def lognormal_ci_study(
-    mu_grid, sigma_grid, n: int, replicates: int, seed: int, x_min: int = 1
-) -> tuple[CIWidthGrid, CIWidthGrid]:
+def lognormal_ci_study(mu_grid, sigma_grid, n: int, replicates: int,
+                       seed: int) -> tuple[CIWidthGrid, CIWidthGrid]:
     """Precision study for the lognormal parameters at one sample size.
 
     Returns two grids over (mu, sigma): widths of the fitted mu and of
@@ -214,27 +203,10 @@ def lognormal_ci_study(
     sigmas = tuple(float(s) for s in sigma_grid)
 
     def cell(i, j):
-        return DiscreteDistribution(DiscreteLognormalParams(mus[i], sigmas[j]), x_min), n
+        return DiscreteDistribution(DiscreteLognormalParams(mus[i], sigmas[j])), n
 
-    widths, exclusions, flagged = _run_cells(mus, sigmas, replicates, seed, x_min, "ln",
-                                             ("mu", "sigma"), cell)
-    grids = []
-    for target, width_arr in zip(("mu", "sigma"), widths):
-        grids.append(
-            CIWidthGrid(
-                target_parameter=target,
-                row_name="mu",
-                row_values=mus,
-                col_name="sigma",
-                col_values=sigmas,
-                replicates=replicates,
-                widths=_as_grid(width_arr),
-                exclusions=_as_grid(exclusions),
-                flagged=_as_grid(flagged),
-                description=f"lognormal generator, n={n}",
-            )
-        )
-    return grids[0], grids[1]
+    return _run_cells(("mu", mus), ("sigma", sigmas), replicates, seed, "ln",
+                      ("mu", "sigma"), cell, f"lognormal generator, n={n}")
 
 
 @dataclass(frozen=True)
@@ -268,15 +240,7 @@ class LLContourGrid:
         ]
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "p1_name": self.p1_name,
-            "p1_values": list(self.p1_values),
-            "p2_name": self.p2_name,
-            "p2_values": list(self.p2_values),
-            "cells": [list(r) for r in self.cells],
-            "invalid_cells": self.invalid_cells,
-        }
+        return asdict(self)
 
 
 #: The two-parameter kinds, whose surfaces a contour grid covers.

@@ -382,7 +382,7 @@ def test_criterion_10_determinism(tmp_path):
     commands = {
         "sample": ("sample", "--dist", "hooked", "--alpha", "3", "--B", "10",
                    "-n", "50", "--seed", "7"),
-        "analyze": ("analyze", "--input", str(data_file), "--x-min", "all", "--seed", "7"),
+        "analyze": ("analyze", "--input", str(data_file), "--x-min", "all"),
         "ci-study": ("ci-study", "--kind", "pl", "--alpha-grid", "2.5,3.5",
                      "--n-grid", "200", "--replicates", "10", "--seed", "7"),
     }

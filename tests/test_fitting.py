@@ -401,6 +401,23 @@ class TestFitHooked:
         view = sample_view(HookedPowerLawParams(6.0, 10.0), 2000, seed)
         assert fit_hooked(view).iterations <= 40 + 6
 
+    def test_global_basin_on_a_two_regime_mixture(self):
+        # hooked(3, 0) under hooked(9, 3000): the profile over t = log(B + 1)
+        # has local minima near t = 0.38 and t = 6.13, and a slope-root search
+        # from t = 0 alone stops at the first, 161 nats worse, still reporting
+        # converged; the fixed profile grid finds the second
+        head = DiscreteDistribution(HookedPowerLawParams(3.0, 0.0)).sample(300, [0, 1])
+        tail = DiscreteDistribution(HookedPowerLawParams(9.0, 3000.0)).sample(1700, [0, 2])
+        view = truncate(CountDataset(np.concatenate([head, tail])), 1)
+        fit = fit_hooked(view)
+        assert fit.converged
+        assert np.log1p(fit.params.B) > 5.0
+        stats, points = _TailStats(view), []
+        for t in np.linspace(np.log1p(B_MIN), np.log1p(B_MAX), 400):
+            points.append(_alpha_at(stats, _offset(t), points[-1].alpha if points else None))
+        profile_min = min(p.neg_log_likelihood for p in points)
+        assert fit.neg_log_likelihood <= profile_min * (1.0 + 1e-9)
+
     def test_compensation_ridge_rank_correlation(self):
         # fitted alpha and B move together across replicates
         pairs = []
