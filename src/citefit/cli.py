@@ -21,6 +21,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import simulation
 from .comparison import FIRST, SECOND, lrt_test, vuong_test
 from .dataset import load_counts, truncate
@@ -440,23 +442,49 @@ def _render(payload, rows, fmt: str) -> str:
 
 #: Values rendered per block by ``_integer_column``.
 _COLUMN_BLOCK = 65_536
+#: 10**1 .. 10**18: a value has one digit more than the powers it reaches.
+_POWERS_OF_TEN = tuple(10**k for k in range(1, 19))
 
 
 def _integer_column(name: str, values, fmt: str) -> str:
-    """A nonempty integer array rendered as ``_render`` would render it.
+    """A nonempty array of nonnegative ``int64`` rendered as ``_render`` would render it.
 
     JSON: the bare list, ``indent=2``; CSV: a one-column table headed
-    ``name``. Values are joined a block at a time and the blocks then
-    joined, so at most one block's ints and strings are alive at once.
+    ``name``. Each block of values is written as ASCII digits, each
+    value followed by the separator, and the blocks are joined once.
     """
-    sep = ",\n  " if fmt == "json" else "\r\n"
-    body = sep.join(
-        sep.join(map(str, values[i:i + _COLUMN_BLOCK].tolist()))
-        for i in range(0, len(values), _COLUMN_BLOCK)
-    )
+    sep = b",\n  " if fmt == "json" else b"\r\n"
+    blocks = [_digit_rows(values[i:i + _COLUMN_BLOCK], sep)
+              for i in range(0, len(values), _COLUMN_BLOCK)]
     if fmt == "json":
-        return "[\n  " + body + "\n]\n"
-    return name + "\r\n" + body + "\r\n"
+        head, tail = b"[\n  ", b"\n]\n"
+        blocks[-1] = blocks[-1][:-len(sep)]
+    else:
+        head, tail = name.encode() + b"\r\n", b""
+    return b"".join([head, *blocks, tail]).decode()
+
+
+def _digit_rows(values: np.ndarray, sep: bytes) -> np.ndarray:
+    """``values`` as ASCII digits, each followed by ``sep``, as one byte array."""
+    widths = np.full(values.size, 1 + len(sep))
+    top = values.max()
+    for power in _POWERS_OF_TEN:
+        if power > top:
+            break
+        widths += values >= power
+    ends = np.cumsum(widths)
+    out = np.empty(ends[-1], np.uint8)
+    for j, byte in enumerate(sep):
+        out[ends - len(sep) + j] = byte
+    # one digit column at a time, from the last digit of every value, for
+    # the values that have digits left
+    position, rest = ends - len(sep) - 1, values
+    while position.size:
+        quotient = rest // 10
+        out[position] = rest - 10 * quotient + ord("0")
+        more = np.flatnonzero(quotient)
+        position, rest = position[more] - 1, quotient[more]
+    return out
 
 
 def _emit(text: str, output):

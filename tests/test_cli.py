@@ -4,9 +4,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from citefit.cli import main, parse_axis
+from citefit.cli import _integer_column, main, parse_axis
 from citefit.errors import UsageError
 from citefit.kernels import (
     DiscreteDistribution,
@@ -27,6 +28,16 @@ def write_counts(tmp_path, params, n, seed, name="counts.txt", x_min=1):
     path = tmp_path / name
     path.write_text("\n".join(str(int(v)) for v in values) + "\n", encoding="utf-8")
     return str(path)
+
+
+def column_texts(values):
+    """The bytes json.dumps(indent=2) and csv.DictWriter give for an integer column."""
+    values = [int(v) for v in values]
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=["value"])
+    writer.writeheader()
+    writer.writerows({"value": v} for v in values)
+    return {"json": json.dumps(values, indent=2) + "\n", "csv": buffer.getvalue()}
 
 
 def main_output(capsys, *args):
@@ -81,25 +92,36 @@ class TestSample:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
-    @pytest.mark.parametrize("n", [1, 2, 257, 2 * 65_536 + 3])
+    @pytest.mark.parametrize("n", [1, 2, 257, 65_535, 65_536, 65_537, 2 * 65_536 + 3])
     def test_golden_bytes(self, tmp_path, capsys, n):
-        # the bytes json.dumps(indent=2) and csv.DictWriter give for these draws
         draws = DiscreteDistribution(HookedPowerLawParams(2.2, 4.0), 2).sample(n, 8)
-        values = [int(v) for v in draws]
-        buffer = io.StringIO()
-        writer = csv.DictWriter(buffer, fieldnames=["value"])
-        writer.writeheader()
-        writer.writerows({"value": v} for v in values)
-        expected = {"json": json.dumps(values, indent=2) + "\n", "csv": buffer.getvalue()}
         args = ("sample", "--dist", "hooked", "--alpha", "2.2", "--B", "4", "--x-min", "2",
                 "-n", str(n), "--seed", "8")
-        for fmt, text in expected.items():
+        for fmt, text in column_texts(draws).items():
             code, out, _ = main_output(capsys, *args, "--format", fmt)
             assert code == 0
             assert out == text
             out_path = tmp_path / f"sample.{fmt}"
             assert main([*args, "--format", fmt, "--output", str(out_path)]) == 0
             assert out_path.read_bytes() == text.encode("utf-8")
+
+    def test_nineteen_digit_draws(self, capsys):
+        x_min = 2**62
+        draws = DiscreteDistribution(PowerLawParams(2.5), x_min).sample(300, 4)
+        assert len(str(int(draws.max()))) == 19
+        for fmt, text in column_texts(draws).items():
+            code, out, _ = main_output(capsys, "sample", "--dist", "pl", "--alpha", "2.5",
+                                       "--x-min", str(x_min), "-n", "300", "--seed", "4",
+                                       "--format", fmt)
+            assert code == 0
+            assert out == text
+
+    @pytest.mark.parametrize("n", [1, 7, 65_535, 65_536, 65_537])
+    def test_integer_column_at_the_digit_edges(self, n):
+        edges = [1, 9, 10, 99, 10**18 - 1, 10**18, 2**63 - 1]
+        values = np.resize(np.array(edges, dtype=np.int64), n)
+        for fmt, text in column_texts(values).items():
+            assert _integer_column("value", values, fmt) == text
 
     def test_missing_params_usage_error(self, capsys):
         code, _, err = main_output(capsys, "sample", "--dist", "ln", "-n", "3")
@@ -142,6 +164,20 @@ class TestFitCommand:
         assert r.stdout == ""
         assert "line 4" in r.stderr
         assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("input_format, data", [
+        ("plain", b"5\n\xff7\n3\n"),
+        ("csv", b"citations\n5\n\xff7\n3\n"),
+    ])
+    def test_non_utf8_input_is_io_error(self, tmp_path, capsys, input_format, data):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(data)
+        code, out, err = main_output(capsys, "fit", "--input", str(path), "--dist", "pl",
+                                     "--input-format", input_format)
+        line = 2 if input_format == "plain" else 3
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: line {line}: not UTF-8")
 
     def test_output_file(self, tmp_path):
         path = write_counts(tmp_path, PowerLawParams(2.5), 200, seed=3)

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from citefit import dataset
 from citefit.dataset import CountDataset, _parse_count, load_counts, tail_ccdf, truncate
 from citefit.errors import EmptyDatasetError, EmptyTailError, ParseError, UsageError
 from citefit.kernels import DiscreteDistribution, HookedPowerLawParams
@@ -60,6 +63,17 @@ class TestLoadCounts:
         ds = load_counts(write(tmp_path, "j.txt", "9\n1\n0\n5"), "plain")
         assert ds.counts == (9, 1, 5)
 
+    @pytest.mark.parametrize("name, data, line", [
+        ("k.txt", b"5\n\xff7\n3\n", 2),
+        ("k.csv", b"citations\n5\n\xff7\n3\n", 3),
+    ])
+    def test_non_utf8_names_line(self, tmp_path, name, data, line):
+        path = tmp_path / name
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="not UTF-8") as info:
+            load_counts(path, "csv" if name.endswith(".csv") else "plain")
+        assert info.value.line_number == line
+
 
 def reference_load(text):
     """Per-token parse of a plain file with ``_parse_count``: (counts, zeros) or the error."""
@@ -73,27 +87,76 @@ def reference_load(text):
     return tuple(v for v in values if v > 0), sum(v == 0 for v in values)
 
 
+def assert_loads_as_reference(path, text):
+    """``load_counts(path)`` gives what ``reference_load(text)`` gives, error included."""
+    expected = reference_load(text)
+    if isinstance(expected, ParseError):
+        with pytest.raises(ParseError) as info:
+            load_counts(path, "plain")
+        assert info.value.line_number == expected.line_number
+        assert str(info.value) == str(expected)
+    elif not expected[0]:
+        with pytest.raises(EmptyDatasetError):
+            load_counts(path, "plain")
+    else:
+        ds = load_counts(path, "plain")
+        assert (ds.counts, ds.zeros_dropped) == expected
+
+
+def no_fallback(text):
+    raise AssertionError("a file of digit lines fell back to the int() parser")
+
+
 class TestParserEquivalence:
     TOKENS = ["+3", "1_0", " 2 ", "\u0663", "-0", "1.0", "0x10", "-1",
               str(2**63 - 1), str(2**63), str(10**20), "-" + str(2**70)]
     TEXTS = (
         [f"5\n{token}\n7\n" for token in TOKENS]
         + ["5\r\n+3\r\n0\r\n7\r\n", "\n\n5\n \n\t\n7\n\n", "4\n\n-1\nfoo\n",
-           "4\r\n1.0\r\n"]
+           "4\r\n1.0\r\n", "5\r7\n", "4\n5\r", "4\r\r\n"]
+    )
+    LINES = st.one_of(
+        st.integers(0, 10**20).map(str),
+        st.builds("{}{}".format, st.sampled_from(["", "0", "000"]), st.integers(0, 10**18)),
+        st.sampled_from(
+            ["", "9" * 18, "1" + "0" * 18, "9" * 19, "1" + "0" * 19, "0" * 20,
+             str(2**63 - 1), str(2**63)] + TOKENS
+        ),
     )
 
     @pytest.mark.parametrize("text", TEXTS)
     def test_matches_per_token_parse(self, tmp_path, text):
-        expected = reference_load(text)
-        path = write(tmp_path, "p.txt", text)
-        if isinstance(expected, ParseError):
-            with pytest.raises(ParseError) as info:
-                load_counts(path, "plain")
-            assert info.value.line_number == expected.line_number
-            assert str(info.value) == str(expected)
-        else:
-            ds = load_counts(path, "plain")
-            assert (ds.counts, ds.zeros_dropped) == expected
+        assert_loads_as_reference(write(tmp_path, "p.txt", text), text)
+
+    # one file, rewritten for every example
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(st.tuples(LINES, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8),
+           final_newline=st.booleans())
+    def test_matches_per_token_parse_generated(self, tmp_path, lines, final_newline):
+        text = "".join(line + end for line, end in lines)
+        if lines and not final_newline:
+            text = text[:-len(lines[-1][1])]
+        path = tmp_path / "gen.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert_loads_as_reference(path, text)
+
+    @pytest.mark.parametrize("cr_at", [dataset._BLOCK_BYTES - 2, dataset._BLOCK_BYTES - 1])
+    @pytest.mark.parametrize("long_line", [False, True])
+    def test_larger_than_a_block(self, tmp_path, monkeypatch, cr_at, long_line):
+        # the first \r\n ends at, or straddles, the first block's nominal end;
+        # with a 19-digit line after it the whole file falls back
+        head = "123\n" * (cr_at // 4) + "7" * (cr_at % 4)
+        text = head + "\r\n" + "1" * (19 if long_line else 18) + "\n" + "45\r\n" * 100_000
+        path = write(tmp_path, "big.txt", text)
+        if not long_line:
+            monkeypatch.setattr(dataset, "_parse_plain", no_fallback)
+        assert_loads_as_reference(path, text)
+
+    @pytest.mark.parametrize("text", ["7", "7\n", "7\r\n", "\n0\r\n\r\n007\n\n", "9" * 18 + "\n1"])
+    def test_digit_lines_take_the_byte_path(self, tmp_path, monkeypatch, text):
+        monkeypatch.setattr(dataset, "_parse_plain", no_fallback)
+        assert_loads_as_reference(write(tmp_path, "s.txt", text), text)
 
     def test_int_grammar(self, tmp_path):
         ds = load_counts(write(tmp_path, "q.txt", "+3\n1_0\n 2 \n\u0663\n-0\n"), "plain")
