@@ -1,17 +1,15 @@
 """Ingestion, validation, and truncation of citation-count datasets.
 
-Counts are per-article citation tallies: positive integers below 2**63,
-unordered beyond their file order. Zero counts (uncited articles) are
-dropped at load time but tallied, so reports can state how many were
-excluded.
+Counts are per-article citation tallies: positive integers below 2**63.
+Zero counts (uncited articles) are dropped at load time but tallied, so
+reports can state how many were excluded.
 
-A dataset is held as one sorted histogram, built once: the distinct
-values and their multiplicities, as read-only ``int64`` arrays. Every
-statistic the package computes depends only on the multiset, so the
-fitters, tests and scans read the histogram, and a truncation is an
-offset into it (a ``searchsorted``), never a copy. The per-row views,
-``counts`` and ``retained`` in file order, are built only when a caller
-reads them. Datasets are immutable after construction and safe to share.
+A dataset is its sorted histogram, built once: the distinct values and
+their multiplicities, as read-only ``int64`` arrays. Every statistic the
+package computes depends only on the multiset, so file order is not
+kept, and memory grows with the number of distinct values, not rows. A
+truncation is an offset into the histogram (a ``searchsorted``), never a
+copy. Datasets are immutable after construction and safe to share.
 
 A plain file whose every byte is an ASCII digit or a line end (``\\n`` or
 ``\\r\\n``), with at most 18 digits a line, is parsed from its bytes by
@@ -30,7 +28,6 @@ import csv
 import io
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -48,49 +45,29 @@ class CountDataset:
     """A multiset of positive citation counts with provenance metadata.
 
     ``counts`` may be any one-dimensional sequence or array of integers
-    (integral floats are accepted); it is copied. ``values`` and
-    ``multiplicities`` are the sorted histogram the library reads;
-    ``counts`` gives the rows back in their original order.
+    (integral floats are accepted). Only its sorted histogram is kept:
+    ``values`` and ``multiplicities``, with ``n`` counts in all.
     """
 
     def __init__(self, counts, source_label: str = "", zeros_dropped: int = 0):
-        self._hold(_as_int64(counts), source_label, zeros_dropped)
-
-    @classmethod
-    def _adopt(cls, rows: np.ndarray, source_label: str, zeros_dropped: int) -> CountDataset:
-        """A dataset over ``rows``, a 1-D ``int64`` array no one else holds; no copy."""
-        data = cls.__new__(cls)
-        data._hold(rows, source_label, zeros_dropped)
-        return data
-
-    def _hold(self, rows: np.ndarray, source_label: str, zeros_dropped: int):
+        rows = _as_int64(counts)
         if rows.size == 0:
             raise EmptyDatasetError("dataset has no counts")
         values, multiplicities = np.unique(rows, return_counts=True)
         if values[0] < 1:
             raise UsageError("counts must be positive integers")
         multiplicities = multiplicities.astype(np.int64, copy=False)
-        for arr in (rows, values, multiplicities):
-            arr.flags.writeable = False
-        self._rows = rows
+        values.flags.writeable = multiplicities.flags.writeable = False
         self.values = values
         self.multiplicities = multiplicities
+        self.n = int(multiplicities.sum())
         self.source_label = source_label
         self.zeros_dropped = zeros_dropped
 
-    @property
-    def n(self) -> int:
-        return self._rows.size
-
-    @cached_property
-    def counts(self) -> tuple[int, ...]:
-        """The counts as Python ints, in their original order."""
-        return tuple(self._rows.tolist())
-
 
 def _as_int64(counts) -> np.ndarray:
-    """A copy of ``counts`` as ``int64``; UsageError for anything but integers below 2**63."""
-    arr = np.array(counts)
+    """``counts`` as ``int64``; UsageError for anything but integers below 2**63."""
+    arr = np.asarray(counts)
     if arr.ndim != 1:
         raise UsageError("counts must be a one-dimensional sequence")
     kind = arr.dtype.kind
@@ -101,8 +78,7 @@ def _as_int64(counts) -> np.ndarray:
             raise UsageError(f"counts must be below 2**63, got {arr.max():.6g}")
     elif kind not in "biu":  # Python ints beyond int64 give an object array
         raise UsageError("counts must be integers below 2**63")
-    # uint64 values >= 2**63 wrap to negative here and fail the positivity check;
-    # np.array above already copied, so the cast need not copy again
+    # uint64 values >= 2**63 wrap to negative here and fail the positivity check
     return arr.astype(np.int64, copy=False)
 
 
@@ -140,12 +116,6 @@ class TruncatedView:
         """How often each of ``values`` occurs."""
         return self.base.multiplicities[self.start:]
 
-    @cached_property
-    def retained(self) -> tuple[int, ...]:
-        """The retained counts as Python ints, in the dataset's order."""
-        rows = self.base._rows
-        return tuple(rows[rows >= self.x_min].tolist())
-
 
 def load_counts(path, fmt: str = PLAIN, source_label: str | None = None) -> CountDataset:
     """Load a count dataset from a file.
@@ -168,13 +138,14 @@ def load_counts(path, fmt: str = PLAIN, source_label: str | None = None) -> Coun
     Returns
     -------
     CountDataset
-        Zeros removed (and counted in ``zeros_dropped``), order preserved.
+        The histogram of the positive counts; zeros are counted in
+        ``zeros_dropped``.
 
     Raises
     ------
     ParseError
-        Non-integer, negative or too large (>= 2**63) entry, or a file
-        that is not UTF-8, naming the offending line.
+        Non-integer, negative or too large (>= 2**63) entry, a file that
+        is not UTF-8, or a malformed CSV row, naming the offending line.
     EmptyDatasetError
         File contains no positive counts.
     """
@@ -193,7 +164,7 @@ def load_counts(path, fmt: str = PLAIN, source_label: str | None = None) -> Coun
     zeros = raw.size - counts.size
     if counts.size == 0:
         raise EmptyDatasetError(f"{label}: no positive counts after dropping {zeros} zero(s)")
-    return CountDataset._adopt(counts, label, zeros)
+    return CountDataset(counts, label, zeros)
 
 
 def _decode(data: bytes) -> str:
@@ -288,11 +259,13 @@ def _parse_plain(text: str) -> np.ndarray:
 
 def _parse_csv(text: str) -> list[int]:
     reader = csv.DictReader(io.StringIO(text))
-    if reader.fieldnames is None or CSV_COLUMN not in reader.fieldnames:
-        raise ParseError(f"missing required column {CSV_COLUMN!r}", line_number=1)
-    values = []
-    for lineno, row in enumerate(reader, start=2):
-        values.append(_parse_count(row[CSV_COLUMN] or "", lineno))
+    try:
+        if reader.fieldnames is None or CSV_COLUMN not in reader.fieldnames:
+            raise ParseError(f"missing required column {CSV_COLUMN!r}", line_number=1)
+        # line_num counts the blank lines skipped and the line breaks inside quotes
+        values = [_parse_count(row[CSV_COLUMN] or "", reader.line_num) for row in reader]
+    except csv.Error as exc:  # e.g. a lone \r inside an unquoted field
+        raise ParseError(f"malformed CSV: {exc}", line_number=reader.reader.line_num) from None
     if not values:
         raise EmptyDatasetError("file contains no data rows")
     return values

@@ -417,4 +417,6 @@ class DiscreteDistribution:
             raise ParameterError(f"sample size must be >= 1, got {n}")
         cum = self._window_cum
         idx = np.searchsorted(cum, np.random.default_rng(seed).random(n), side="left")
-        return (self.x_min + np.minimum(idx, len(cum) - 1)).astype(np.int64)
+        np.minimum(idx, len(cum) - 1, out=idx)
+        idx += self.x_min
+        return idx

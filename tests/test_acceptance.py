@@ -212,7 +212,7 @@ def _profile_hooked_fit(view):
     Brent between the grid neighbours of the best point.
     Returns ``(alpha, neg_log_likelihood)``.
     """
-    values, counts = np.unique(np.asarray(view.retained, dtype=float), return_counts=True)
+    values, counts = view.values.astype(float), view.multiplicities
     n = float(counts.sum())
     window = np.arange(view.x_min, view.x_min + NORMALIZATION_TERMS, dtype=float)
 

@@ -63,9 +63,9 @@ class TestVuong:
         view = sample_view(DiscreteLognormalParams(2.0, 1.0), 400, seed=4)
         pl, ln, _ = fits_on(view)
         z1 = vuong_test(pl, ln, view).statistic
-        shuffled = list(view.retained)
+        shuffled = np.repeat(view.values, view.multiplicities)
         np.random.default_rng(0).shuffle(shuffled)
-        view2 = truncate(CountDataset(tuple(shuffled)), 1)
+        view2 = truncate(CountDataset(shuffled), 1)
         z2 = vuong_test(pl, ln, view2).statistic
         assert z1 == pytest.approx(z2, abs=1e-12)
 
@@ -142,9 +142,9 @@ class TestLrt:
 
     def test_order_invariance(self):
         base = sample_view(HookedPowerLawParams(3.0, 10.0), 500, seed=16)
-        shuffled = list(base.retained)
+        shuffled = np.repeat(base.values, base.multiplicities)
         np.random.default_rng(1).shuffle(shuffled)
-        view2 = truncate(CountDataset(tuple(shuffled)), 1)
+        view2 = truncate(CountDataset(shuffled), 1)
         s1 = lrt_test(fit_power_law(base), fit_hooked(base)).statistic
         s2 = lrt_test(fit_power_law(view2), fit_hooked(view2)).statistic
         assert s1 == pytest.approx(s2, abs=1e-9)

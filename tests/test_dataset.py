@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,16 @@ from citefit.errors import EmptyDatasetError, EmptyTailError, ParseError, UsageE
 from citefit.kernels import DiscreteDistribution, HookedPowerLawParams
 
 
+def histogram(data):
+    """The sorted histogram of a dataset or view, as lists."""
+    return data.values.tolist(), data.multiplicities.tolist()
+
+
+def rows(data):
+    """The counts of a dataset or view, ascending."""
+    return np.repeat(data.values, data.multiplicities)
+
+
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
@@ -20,13 +31,13 @@ def write(tmp_path, name, text):
 class TestLoadCounts:
     def test_zero_drop(self, tmp_path):
         ds = load_counts(write(tmp_path, "a.txt", "3\n0\n7"), "plain")
-        assert ds.counts == (3, 7)
+        assert histogram(ds) == ([3, 7], [1, 1])
         assert ds.n == 2
         assert ds.zeros_dropped == 1
 
     def test_minimal(self, tmp_path):
         ds = load_counts(write(tmp_path, "b.txt", "1"), "plain")
-        assert ds.counts == (1,)
+        assert histogram(ds) == ([1], [1])
         assert ds.n == 1
 
     def test_negative_is_parse_error_with_line(self, tmp_path):
@@ -43,25 +54,28 @@ class TestLoadCounts:
 
     def test_trailing_newline_ok(self, tmp_path):
         ds = load_counts(write(tmp_path, "f.txt", "4\n2\n"), "plain")
-        assert ds.counts == (4, 2)
+        assert histogram(ds) == ([2, 4], [1, 1])
+        assert ds.zeros_dropped == 0
 
     def test_csv(self, tmp_path):
         ds = load_counts(write(tmp_path, "g.csv", "citations\n3\n0\n9\n"), "csv")
-        assert ds.counts == (3, 9)
+        assert histogram(ds) == ([3, 9], [1, 1])
         assert ds.zeros_dropped == 1
 
     def test_csv_extra_columns(self, tmp_path):
         text = "id,citations\na,5\nb,1\n"
         ds = load_counts(write(tmp_path, "h.csv", text), "csv")
-        assert ds.counts == (5, 1)
+        assert histogram(ds) == ([1, 5], [1, 1])
 
     def test_csv_missing_column(self, tmp_path):
         with pytest.raises(ParseError):
             load_counts(write(tmp_path, "i.csv", "cites\n3\n"), "csv")
 
     def test_order_preserved(self, tmp_path):
+        # the multiset is kept; file order is not
         ds = load_counts(write(tmp_path, "j.txt", "9\n1\n0\n5"), "plain")
-        assert ds.counts == (9, 1, 5)
+        assert histogram(ds) == ([1, 5, 9], [1, 1, 1])
+        assert ds.zeros_dropped == 1
 
     @pytest.mark.parametrize("name, data, line", [
         ("k.txt", b"5\n\xff7\n3\n", 2),
@@ -74,9 +88,40 @@ class TestLoadCounts:
             load_counts(path, "csv" if name.endswith(".csv") else "plain")
         assert info.value.line_number == line
 
+    @pytest.mark.parametrize("data, line", [
+        (b"citations\n5\r7\n3\n", 2),
+        (b"citations\n5\n0\n1\r7\n", 4),
+        (b"cita\rtions\n5\n", 1),
+    ], ids=["first-row", "later-row", "header"])
+    def test_csv_lone_cr_names_line(self, tmp_path, data, line):
+        path = tmp_path / "m.csv"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="malformed CSV") as info:
+            load_counts(path, "csv")
+        assert info.value.line_number == line
+
+    @pytest.mark.parametrize("text", ["citations\n\n5\nfoo\n", 'id,citations\n"a\nb",5\nc,foo\n'],
+                             ids=["blank-line", "quoted-line-break"])
+    def test_csv_names_the_physical_line(self, tmp_path, text):
+        with pytest.raises(ParseError, match="line 4"):
+            load_counts(write(tmp_path, "n.csv", text), "csv")
+
+    def test_load_holds_only_the_histogram(self, tmp_path):
+        # 10^6 rows, about 2% zeros; what stays alive is the histogram, not the rows
+        counts = np.random.default_rng(3).geometric(0.02, 1_000_000) - 1
+        path = write(tmp_path, "big.txt", "\n".join(map(str, counts.tolist())))
+        tracemalloc.start()
+        try:
+            ds = load_counts(path, "plain")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ds.n + ds.zeros_dropped == 1_000_000
+        assert held < 1_000_000
+
 
 def reference_load(text):
-    """Per-token parse of a plain file with ``_parse_count``: (counts, zeros) or the error."""
+    """Per-token parse of a plain file with ``_parse_count``: (histogram, zeros) or the error."""
     values = []
     try:
         for lineno, line in enumerate(text.split("\n"), start=1):
@@ -84,7 +129,9 @@ def reference_load(text):
                 values.append(_parse_count(line, lineno))
     except ParseError as exc:
         return exc
-    return tuple(v for v in values if v > 0), sum(v == 0 for v in values)
+    positive, multiplicities = np.unique(
+        np.array([v for v in values if v > 0], dtype=np.int64), return_counts=True)
+    return (positive.tolist(), multiplicities.tolist()), sum(v == 0 for v in values)
 
 
 def assert_loads_as_reference(path, text):
@@ -95,12 +142,12 @@ def assert_loads_as_reference(path, text):
             load_counts(path, "plain")
         assert info.value.line_number == expected.line_number
         assert str(info.value) == str(expected)
-    elif not expected[0]:
+    elif not expected[0][0]:
         with pytest.raises(EmptyDatasetError):
             load_counts(path, "plain")
     else:
         ds = load_counts(path, "plain")
-        assert (ds.counts, ds.zeros_dropped) == expected
+        assert (histogram(ds), ds.zeros_dropped) == expected
 
 
 def no_fallback(text):
@@ -160,7 +207,7 @@ class TestParserEquivalence:
 
     def test_int_grammar(self, tmp_path):
         ds = load_counts(write(tmp_path, "q.txt", "+3\n1_0\n 2 \n\u0663\n-0\n"), "plain")
-        assert ds.counts == (3, 10, 2, 3)
+        assert histogram(ds) == ([2, 3, 10], [1, 2, 1])
         assert ds.zeros_dropped == 1
 
     @pytest.mark.parametrize("token", ["1.0", "0x10", str(2**63)])
@@ -177,7 +224,7 @@ class TestCountDataset:
             CountDataset(np.array([1.0, np.nan]))
 
     def test_integral_floats_accepted(self):
-        assert CountDataset((3.0, 1, 4.0)).counts == (3, 1, 4)
+        assert histogram(CountDataset((3.0, 1, 4.0))) == ([1, 3, 4], [1, 1, 1])
 
     @pytest.mark.parametrize("counts", [(1, 2**70), (2**63,), (float(2**63),), ("3",)])
     def test_outside_int64_rejected(self, counts):
@@ -188,25 +235,25 @@ class TestCountDataset:
         ds = CountDataset(np.array([5, 1, 5, 3, 1, 5]))
         assert ds.values.tolist() == [1, 3, 5]
         assert ds.multiplicities.tolist() == [2, 1, 3]
-        assert ds.counts == (5, 1, 5, 3, 1, 5)
+        assert ds.n == 6
         assert not ds.values.flags.writeable and not ds.multiplicities.flags.writeable
 
     def test_copies_its_input(self):
         source = np.array([2, 4, 4])
         ds = CountDataset(source)
         source[0] = 9
-        assert ds.counts == (2, 4, 4)
+        assert histogram(ds) == ([2, 4], [1, 2])
 
 
 class TestTruncate:
     def test_filter(self):
         view = truncate(CountDataset((1, 2, 5, 5, 9)), 5)
-        assert view.retained == (5, 5, 9)
+        assert histogram(view) == ([5, 9], [2, 1])
         assert view.n_tail == 3
 
     def test_identity_at_one(self):
         ds = CountDataset((1, 2, 3))
-        assert truncate(ds, 1).retained == (1, 2, 3)
+        assert histogram(truncate(ds, 1)) == histogram(ds)
 
     def test_empty_tail(self):
         with pytest.raises(EmptyTailError):
@@ -215,8 +262,8 @@ class TestTruncate:
     def test_composition_equals_max(self):
         ds = CountDataset((1, 2, 3, 7, 9, 20, 4))
         for a, b in [(2, 5), (5, 2), (3, 3), (1, 9)]:
-            once = truncate(ds, max(a, b)).retained
-            twice = truncate(CountDataset(truncate(ds, a).retained), b).retained
+            once = histogram(truncate(ds, max(a, b)))
+            twice = histogram(truncate(CountDataset(rows(truncate(ds, a))), b))
             assert once == twice
 
 

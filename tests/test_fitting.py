@@ -65,14 +65,14 @@ def projected_hooked_gradient(params, view):
     ``alpha (sum 1/(B + v) - n E_p[1/(B + x)])``.
     """
     alpha, b = params.alpha, params.B
-    data = np.asarray(view.retained, dtype=float)
+    values, counts = view.values.astype(float), view.multiplicities
     window = np.arange(view.x_min, view.x_min + NORMALIZATION_TERMS, dtype=float)
     weights = (b + window) ** -alpha
     p = weights / weights.sum()
-    n = len(data)
+    n = view.n_tail
     grad = np.array([
-        np.log(b + data).sum() - n * (p @ np.log(b + window)),
-        alpha * ((1.0 / (b + data)).sum() - n * (p @ (1.0 / (b + window)))),
+        counts @ np.log(b + values) - n * (p @ np.log(b + window)),
+        alpha * (counts @ (1.0 / (b + values)) - n * (p @ (1.0 / (b + window)))),
     ])
     theta = np.array([alpha, b])
     stepped = np.clip(theta - grad, [ALPHA_MIN, B_MIN], [ALPHA_MAX, B_MAX])

@@ -276,6 +276,18 @@ class TestSampler:
         dist = DiscreteDistribution(PowerLawParams(2.5), 7)
         assert dist.sample(500, seed=1).min() >= 7
 
+    def test_draws_in_bounded_memory(self):
+        # the uniforms and one index array, clamped and offset in place
+        dist = DiscreteDistribution(DiscreteLognormalParams(2.2, 1.02), 1)
+        tracemalloc.start()
+        try:
+            draws = dist.sample(10**6, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert draws.dtype == np.int64
+        assert peak < 20_000_000
+
     def test_draws_stay_on_the_window(self):
         # rounding leaves this window's cumulative mass 1.5e-4 short of one
         dist = DiscreteDistribution(DiscreteLognormalParams(0.0, 1e-5), 10**12)
