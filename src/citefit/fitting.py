@@ -17,11 +17,11 @@ The solvers use that and need nothing beyond numpy:
   :class:`~citefit.kernels.PowerLawWindowSums` in constant time, so no
   step sums the window term by term. The power law is that solve at
   ``B = 0``. The hooked fit profiles it over ``log(B + 1)``: a fixed
-  grid, then the root of the profile's slope, which is the analytic
-  ``d/dB`` of the objective, with the profile's exact curvature as the
-  slope's derivative. The profile follows the long diagonal valley in
-  which increases in ``alpha`` trade off against increases in ``B``,
-  which makes the 2-D problem badly conditioned for gradient descent.
+  grid, then the root of the profile's slope. :func:`_offset_derivatives`
+  gives that slope (the analytic ``d/dB`` of the objective) and the
+  profile's exact curvature, only where the fit reads them. The profile
+  follows the long diagonal valley, badly conditioned for gradient descent,
+  in which increases in ``alpha`` trade off against increases in ``B``.
 * discrete lognormal: damped Newton in the natural parameters
   ``eta = (mu / sigma**2, -1 / (2 sigma**2))`` of ``T = (ln x, ln**2 x)``,
   started from the moments of ``ln x``. The ``(mu, sigma)`` box is four
@@ -259,30 +259,27 @@ def fit_power_law(data: TruncatedView) -> FitResult:
         )
     point = _alpha_at(stats, 0.0)
     return _fit_result(PowerLawParams(point.alpha), data, not point.pinned,
-                       point.iterations, abs(point.grad[0]))
+                       point.iterations, abs(point.score))
 
 
 class _ProfilePoint(NamedTuple):
-    """The profile optimum in alpha at one offset, with the exact gradient."""
+    """The profile optimum in alpha at one offset."""
 
     alpha: float
     b: float
     pinned: bool
     iterations: int
     neg_log_likelihood: float
-    grad: tuple[float, float]  # d/d alpha, d/d B of the objective
-    data_inverse: float  # sum c / (b + v) over the data
-    #: d slope / dt, the profile's second derivative; NaN unless asked for
-    curvature: float = math.nan
+    score: float  # d/d alpha of the objective
 
-    @property
-    def slope(self) -> float:
-        """d/dt of the profile, t = log(B + 1).
 
-        By the envelope theorem this is the partial d/dB of the objective
-        at (alpha(B), B), times ``B + 1``.
-        """
-        return self.grad[1] * (self.b + 1.0)
+class _OffsetDerivatives(NamedTuple):
+    """The objective's offset derivatives at a profile point, from :func:`_offset_derivatives`."""
+
+    grad_b: float  # d/dB of the objective
+    slope: float  # d/dt of the profile, t = log(B + 1)
+    curvature: float  # d slope / dt, the profile's second derivative
+    rounding: float  # the slope's rounding level
 
 
 def _continuous_alpha(stats: _TailStats, b: float, data: float) -> float:
@@ -298,8 +295,7 @@ def _continuous_alpha(stats: _TailStats, b: float, data: float) -> float:
     return 1.0 + stats.n / spread if spread > 0.0 else ALPHA_MAX
 
 
-def _alpha_at(stats: _TailStats, b: float, start: float | None = None,
-              curvature: bool = False) -> _ProfilePoint:
+def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _ProfilePoint:
     """MLE of alpha with the hooked offset held at ``b`` (``b = 0``: power law).
 
     For fixed ``b`` the objective ``alpha * sum c log(b + v) + n log Z`` is
@@ -312,21 +308,7 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None,
 
     The window enters through its sums ``S_k`` of ``w l**k``, with
     ``l = log((b + x) / (b + x_min))`` and ``w = exp(-alpha l)``: then
-    ``E_p[l] = S_1 / S_0``, ``Var_p[l] = S_2 / S_0 - E_p[l]**2``, and, with
-    ``y0 = b + x_min``, ``E_p[1 / (b + x)] = S_0(alpha + 1) / (y0 S_0)``,
-    ``E_p[l / (b + x)] = S_1(alpha + 1) / (y0 S_0)`` and
-    ``E_p[(b + x)**-2] = S_0(alpha + 2) / (y0**2 S_0)``.
-
-    With ``curvature`` the point also carries the profile's second
-    derivative in ``t = log(b + 1)``,
-    ``(b + 1)**2 (f_BB - f_aB**2 / f_aa) + (b + 1) f_B``, from the exact
-    second derivatives of the objective ``f`` (``f_BB`` alone where alpha
-    is pinned):
-
-    * ``f_aa = n Var_p[l]``
-    * ``f_aB = sum c / (b + v) - n E_p[1 / (b + x)] + n alpha Cov_p[l, 1 / (b + x)]``
-    * ``f_BB = -alpha sum c / (b + v)**2 + n alpha E_p[(b + x)**-2]
-      + n alpha**2 Var_p[1 / (b + x)]``
+    ``E_p[l] = S_1 / S_0`` and ``Var_p[l] = S_2 / S_0 - E_p[l]**2``.
     """
     sums = PowerLawWindowSums(b + stats.x_min)
     log_edge = sums.log_offset
@@ -338,36 +320,54 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None,
     def score(alpha):
         z, s1, s2 = sums(alpha)
         mean = s1 / z
-        return stats.n * (target - mean), stats.n * (s2 / z - mean * mean), z, mean
+        return stats.n * (target - mean), stats.n * (s2 / z - mean * mean), z
 
-    alpha, (grad_a, f_aa, z, mean), iterations = _newton_root(score, _ALPHA_LO, ALPHA_MAX, start)
+    alpha, (grad_a, _, z), iterations = _newton_root(score, _ALPHA_LO, ALPHA_MAX, start)
     pinned = grad_a >= 0.0 and alpha == _ALPHA_LO or grad_a <= 0.0 and alpha == ALPHA_MAX
+    return _ProfilePoint(alpha, b, pinned, iterations,
+                         alpha * data + stats.n * (math.log(z) - alpha * log_edge), grad_a)
+
+
+def _offset_derivatives(stats: _TailStats, point: _ProfilePoint) -> _OffsetDerivatives:
+    """The offset derivatives of the objective ``f`` at a profile point of :func:`_alpha_at`.
+
+    With the window sums ``S_k`` of :func:`_alpha_at` and ``y0 = b + x_min``,
+    ``E_p[1 / (b + x)] = S_0(alpha + 1) / (y0 S_0)``,
+    ``E_p[l / (b + x)] = S_1(alpha + 1) / (y0 S_0)`` and
+    ``E_p[(b + x)**-2] = S_0(alpha + 2) / (y0**2 S_0)``, so
+
+    * ``f_B = alpha sum c / (b + v) - n alpha E_p[1 / (b + x)]``
+    * ``f_aa = n Var_p[l]``
+    * ``f_aB = sum c / (b + v) - n E_p[1 / (b + x)] + n alpha Cov_p[l, 1 / (b + x)]``
+    * ``f_BB = -alpha sum c / (b + v)**2 + n alpha E_p[(b + x)**-2]
+      + n alpha**2 Var_p[1 / (b + x)]``
+
+    By the envelope theorem the profile's slope in ``t = log(b + 1)`` is
+    ``(b + 1) f_B`` at ``(alpha(b), b)``, and its curvature is
+    ``(b + 1)**2 (f_BB - f_aB**2 / f_aa) + (b + 1) f_B`` (``f_BB`` alone
+    where alpha is pinned). The slope is a difference of two terms of size
+    ``(b + 1) alpha sum c / (b + v)``; near the root it scatters by up to
+    ``_SLOPE_ROUNDING`` of that size, its rounding level.
+    """
+    alpha, b, n = point.alpha, point.b, stats.n
+    sums = PowerLawWindowSums(b + stats.x_min)
+    z, s1, s2 = sums(alpha)
     inverse = 1.0 / (b + stats.values)
     data_inverse = float(stats.counts @ inverse)
     z1, s1_1, _ = sums(alpha + 1.0)
-    grad_b = alpha * data_inverse - alpha * stats.n * z1 / (sums.offset * z)
-    second = math.nan
-    if curvature:
-        n, u = stats.n, b + 1.0
-        mean_inverse = z1 / (sums.offset * z)
-        mean_square = sums(alpha + 2.0)[0] / (sums.offset * sums.offset * z)
-        f_bb = (-alpha * float(stats.counts @ (inverse * inverse)) + n * alpha * mean_square
-                + n * alpha * alpha * (mean_square - mean_inverse * mean_inverse))
-        if not pinned:
-            f_ab = (data_inverse - n * mean_inverse
-                    + n * alpha * (s1_1 / (sums.offset * z) - mean * mean_inverse))
-            f_bb -= f_ab * f_ab / f_aa
-        second = u * u * f_bb + u * grad_b
-    return _ProfilePoint(
-        alpha=alpha,
-        b=b,
-        pinned=pinned,
-        iterations=iterations,
-        neg_log_likelihood=alpha * data + stats.n * (math.log(z) - alpha * log_edge),
-        grad=(grad_a, grad_b),
-        data_inverse=data_inverse,
-        curvature=second,
-    )
+    grad_b = alpha * data_inverse - alpha * n * z1 / (sums.offset * z)
+    mean_inverse = z1 / (sums.offset * z)
+    mean_square = sums(alpha + 2.0)[0] / (sums.offset * sums.offset * z)
+    f_bb = (-alpha * float(stats.counts @ (inverse * inverse)) + n * alpha * mean_square
+            + n * alpha * alpha * (mean_square - mean_inverse * mean_inverse))
+    if not point.pinned:
+        mean = s1 / z
+        f_ab = (data_inverse - n * mean_inverse
+                + n * alpha * (s1_1 / (sums.offset * z) - mean * mean_inverse))
+        f_bb -= f_ab * f_ab / (n * (s2 / z - mean * mean))
+    u = b + 1.0
+    return _OffsetDerivatives(grad_b, grad_b * u, u * u * f_bb + u * grad_b,
+                              _SLOPE_ROUNDING * (alpha * data_inverse) * u)
 
 
 class _LognormalPoint(NamedTuple):
@@ -589,12 +589,11 @@ def fit_hooked(data: TruncatedView) -> FitResult:
     one with ``converged`` just as true. Between the best grid point and
     the neighbour across which the profile slope changes sign,
     :func:`_newton_root` finds the root of that slope, starting from the
-    secant of the two. By the envelope theorem the slope
-    is the exact ``d objective / dB`` at ``(alpha(B), B)``, times
-    ``B + 1``; its derivative is the profile's exact curvature. The lower
-    of the grid point and the root is returned. ``converged`` means the
-    projected analytic gradient there is below ``HOOKED_GRAD_TOL``;
-    ``iterations`` counts the profile points evaluated.
+    secant of the two. :func:`_offset_derivatives` gives the slope and its
+    derivative at those two points and at each point of the root phase,
+    and nowhere else. The lower of the grid point and the root is
+    returned. ``converged`` means the projected analytic gradient there is
+    below ``HOOKED_GRAD_TOL``; ``iterations`` counts the profile points evaluated.
     """
     stats = _TailStats(data)
     if stats.n < MIN_TAIL_TWO_PARAM:
@@ -608,26 +607,27 @@ def fit_hooked(data: TruncatedView) -> FitResult:
         points.append(_alpha_at(stats, _offset(t), points[-1].alpha if points else None))
     k = min(range(_PROFILE_GRID), key=lambda i: points[i].neg_log_likelihood)
     best, iterations = points[k], _PROFILE_GRID
-    side = k + 1 if best.slope < 0.0 else k - 1
-    if 0 <= side < _PROFILE_GRID and points[side].slope * best.slope < 0.0:
-        (lo, slope_lo), (hi, slope_hi) = sorted(((grid[k], best.slope),
-                                                 (grid[side], points[side].slope)))
-        path = [best]
+    at_best = _offset_derivatives(stats, best)
+    side = k + 1 if at_best.slope < 0.0 else k - 1
+    side_slope = (_offset_derivatives(stats, points[side]).slope
+                  if 0 <= side < _PROFILE_GRID else 0.0)
+    if side_slope * at_best.slope < 0.0:
+        (lo, slope_lo), (hi, slope_hi) = sorted(((grid[k], at_best.slope),
+                                                 (grid[side], side_slope)))
+        path = [(best, at_best)]
 
         def slope(t):
-            point = _alpha_at(stats, _offset(t), path[-1].alpha, curvature=True)
-            path.append(point)
-            # the slope is a difference of two terms of this size; below its
-            # rounding level it is zero, which no Newton step can resolve
-            size = point.alpha * point.data_inverse
-            rounding = _SLOPE_ROUNDING * size * (point.b + 1.0)
-            return point.slope if abs(point.slope) > rounding else 0.0, point.curvature
+            point = _alpha_at(stats, _offset(t), path[-1][0].alpha)
+            at = _offset_derivatives(stats, point)
+            path.append((point, at))
+            # below its rounding level the slope is zero, which no Newton step can resolve
+            return at.slope if abs(at.slope) > at.rounding else 0.0, at.curvature
 
         secant = lo - slope_lo * (hi - lo) / (slope_hi - slope_lo)
         iterations += _newton_root(slope, lo, hi, secant, bracketed=True)[2]
-        if path[-1].neg_log_likelihood < best.neg_log_likelihood:
-            best = path[-1]
-    grad_norm = _projected_gradient_norm((best.alpha, best.b), best.grad,
+        if path[-1][0].neg_log_likelihood < best.neg_log_likelihood:
+            best, at_best = path[-1]
+    grad_norm = _projected_gradient_norm((best.alpha, best.b), (best.score, at_best.grad_b),
                                          ((_ALPHA_LO, ALPHA_MAX), (_B_LO, B_MAX)))
     return _fit_result(HookedPowerLawParams(best.alpha, best.b), data,
                        grad_norm < HOOKED_GRAD_TOL, iterations, grad_norm)

@@ -4,6 +4,7 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 from scipy.stats import spearmanr
 
+from citefit import fitting
 from citefit.dataset import CountDataset, truncate
 from citefit.errors import DegenerateDataError, ScanError, UsageError
 from citefit.fitting import (
@@ -12,6 +13,7 @@ from citefit.fitting import (
     _lognormal_point,
     _LognormalStats,
     _offset,
+    _offset_derivatives,
     _TailStats,
     fit_hooked,
     fit_lognormal,
@@ -34,6 +36,7 @@ from citefit.kernels import (
     DiscreteLognormalParams,
     HookedPowerLawParams,
     PowerLawParams,
+    PowerLawWindowSums,
 )
 from citefit.simulation import ll_contour
 
@@ -129,6 +132,22 @@ class TestFitPowerLaw:
         for delta in (-0.1, -0.01, 0.01, 0.1):
             nearby = PowerLawParams(fit.params.alpha + delta)
             assert fit.neg_log_likelihood <= neg_log_likelihood(nearby, 1, view)
+
+    @pytest.mark.parametrize("x_min", [1, 3])
+    def test_takes_no_offset_derivative(self, monkeypatch, x_min):
+        # one window-sum call per score evaluation, plus the returned
+        # distribution's normaliser: nothing in B
+        view = truncate(sample_view(PowerLawParams(2.5), 500, seed=6).base, x_min)
+        calls = []
+        window_sums = PowerLawWindowSums.__call__
+
+        def counted(sums, alpha):
+            calls.append(alpha)
+            return window_sums(sums, alpha)
+
+        monkeypatch.setattr(PowerLawWindowSums, "__call__", counted)
+        fit = fit_power_law(view)
+        assert len(calls) == fit.iterations + 1
 
 
 def reference_fit(view, kind):
@@ -401,6 +420,21 @@ class TestFitHooked:
         view = sample_view(HookedPowerLawParams(6.0, 10.0), 2000, seed)
         assert fit_hooked(view).iterations <= 40 + 6
 
+    @pytest.mark.parametrize("alpha, b, seed", [(3.0, 10.0, 0), (6.0, 10.0, 1), (2.0, 0.0, 2)])
+    def test_offset_derivatives_only_where_the_slope_is_read(self, monkeypatch, alpha, b, seed):
+        # the best grid point, the neighbour its slope points to and each
+        # root-phase point; none of the other grid points
+        view = sample_view(HookedPowerLawParams(alpha, b), 500, seed)
+        calls = []
+
+        def counted(stats, point):
+            calls.append(point.b)
+            return _offset_derivatives(stats, point)
+
+        monkeypatch.setattr(fitting, "_offset_derivatives", counted)
+        fit = fit_hooked(view)
+        assert 1 <= len(calls) <= 2 + (fit.iterations - 40)
+
     def test_global_basin_on_a_two_regime_mixture(self):
         # hooked(3, 0) under hooked(9, 3000): the profile over t = log(B + 1)
         # has local minima near t = 0.38 and t = 6.13, and a slope-root search
@@ -433,25 +467,43 @@ class TestFitHooked:
             fit_hooked(truncate(CountDataset((3, 3, 3, 3)), 1))
 
 
+@pytest.fixture(scope="module")
+def profile_stats():
+    return _TailStats(sample_view(HookedPowerLawParams(3.0, 10.0), 2000, seed=5))
+
+
+def offset_derivatives_at(stats, t):
+    return _offset_derivatives(stats, _alpha_at(stats, _offset(t)))
+
+
+class TestProfileSlope:
+    """The envelope theorem: the slope, from the partial d/dB alone, is the profile's d/dt."""
+
+    @pytest.mark.parametrize("t", [0.5, 1.5, 2.4, 4.0, 8.0, -5.0])
+    def test_matches_central_differences_of_the_profile(self, profile_stats, t):
+        stats, h = profile_stats, 1e-4
+        point = _alpha_at(stats, _offset(t))
+        assert point.pinned or t != -5.0
+        central = (_alpha_at(stats, _offset(t + h)).neg_log_likelihood
+                   - _alpha_at(stats, _offset(t - h)).neg_log_likelihood) / (2 * h)
+        assert _offset_derivatives(stats, point).slope == pytest.approx(central, rel=1e-6)
+
+
 class TestProfileCurvature:
     """The profile's exact second derivative in t = log(B + 1), which the hooked root phase steps on."""
 
-    @pytest.fixture(scope="class")
-    def stats(self):
-        return _TailStats(sample_view(HookedPowerLawParams(3.0, 10.0), 2000, seed=5))
-
     @pytest.mark.parametrize("t", [0.5, 1.5, 2.4, 4.0, 8.0])
-    def test_matches_central_differences_of_the_slope(self, stats, t):
-        point = _alpha_at(stats, _offset(t), curvature=True)
-        h = 1e-5
-        central = (_alpha_at(stats, _offset(t + h)).slope
-                   - _alpha_at(stats, _offset(t - h)).slope) / (2 * h)
-        assert point.curvature == pytest.approx(central, rel=1e-6)
+    def test_matches_central_differences_of_the_slope(self, profile_stats, t):
+        stats, h = profile_stats, 1e-5
+        central = (offset_derivatives_at(stats, t + h).slope
+                   - offset_derivatives_at(stats, t - h).slope) / (2 * h)
+        assert offset_derivatives_at(stats, t).curvature == pytest.approx(central, rel=1e-6)
 
-    def test_pinned_alpha_leaves_the_offset_curvature_alone(self, stats):
+    def test_pinned_alpha_leaves_the_offset_curvature_alone(self, profile_stats):
         # alpha pinned at its lower bound: the curvature is (B + 1)**2 f_BB + (B + 1) f_B,
         # here summed over the explicit window
-        point = _alpha_at(stats, _offset(-5.0), curvature=True)
+        stats = profile_stats
+        point = _alpha_at(stats, _offset(-5.0))
         assert point.pinned and point.alpha == pytest.approx(ALPHA_MIN)
         alpha, b, n = point.alpha, point.b, stats.n
         window = np.arange(stats.x_min, stats.x_min + NORMALIZATION_TERMS, dtype=float)
@@ -462,7 +514,8 @@ class TestProfileCurvature:
         f_b = alpha * (stats.counts @ data_inv - n * (p @ inv))
         f_bb = (-alpha * (stats.counts @ data_inv**2) + n * alpha * (p @ inv**2)
                 + n * alpha**2 * (p @ inv**2 - (p @ inv) ** 2))
-        assert point.curvature == pytest.approx((b + 1) ** 2 * f_bb + (b + 1) * f_b, rel=1e-9)
+        curvature = _offset_derivatives(stats, point).curvature
+        assert curvature == pytest.approx((b + 1) ** 2 * f_bb + (b + 1) * f_b, rel=1e-9)
 
 
 class TestScanXmin:
