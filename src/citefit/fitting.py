@@ -39,10 +39,11 @@ Everything here is a pure function of its inputs; concurrent use is safe.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -199,48 +200,68 @@ def _newton_root(fn, lo: float, hi: float, start: float, bracketed: bool = False
     """Root in ``[lo, hi]`` of a value that rises through zero there, by safeguarded Newton.
 
     ``fn(x)`` returns ``(value, derivative, ...)``. Newton's steps start
-    from ``start`` and keep a bracket of the root: a step that leaves it
-    goes to the end on that side while that end is unevaluated, otherwise
-    bisects, as does a step that fails to halve the last one. A derivative
-    that is not positive counts as a step out of the bracket.
+    from ``start`` and keep a bracket of the root (:func:`_newton_step`).
     ``bracketed`` says the value is already known to be negative at ``lo``
-    and positive at ``hi``, so neither end is tried. An end whose value
-    points out of the interval (``>= 0`` at ``lo``, ``<= 0`` at ``hi``)
-    holds the root there. Stops at a zero value, or once a step is below
+    and positive at ``hi``, so neither end is tried. Stops at a zero value,
+    at an end that holds the root, or once a step is below
     ``_ROOT_XTOL + _ROOT_RTOL * |x|``, or after ``_ROOT_MAX_ITER``
     evaluations. Returns the last ``x`` evaluated, ``fn(x)`` there and the
     number of evaluations.
     """
-    lo_end, hi_end = lo, hi
-    lo_seen = hi_seen = bracketed  # whether lo / hi carry an evaluated value
+    bracket = _bracket(lo, hi, bracketed)
     x = min(max(start, lo), hi)
-    last_step = hi - lo
     for evaluations in range(1, _ROOT_MAX_ITER + 1):
         result = fn(x)
-        value, derivative = result[:2]
-        if value >= 0.0 and x == lo_end or value <= 0.0 and x == hi_end or value == 0.0:
+        new = _newton_step(bracket, x, *result[:2])
+        if new is None or evaluations == _ROOT_MAX_ITER:
             break
-        if value > 0.0:
-            hi, hi_seen = x, True
-        else:
-            lo, lo_seen = x, True
-        new = x - value / derivative if derivative > 0.0 else math.copysign(math.inf, -value)
-        tol = _ROOT_XTOL + _ROOT_RTOL * abs(x)
-        if abs(new - x) <= tol:
-            break
-        if not lo < new < hi:
-            if new >= hi and not hi_seen:
-                new = hi
-            elif new <= lo and not lo_seen:
-                new = lo
-            else:
-                new = 0.5 * (lo + hi)
-        elif lo_seen and hi_seen and abs(new - x) > 0.5 * abs(last_step):
-            new = 0.5 * (lo + hi)
-        if abs(new - x) <= tol or evaluations == _ROOT_MAX_ITER:
-            break
-        last_step, x = new - x, new
+        x = new
     return x, result, evaluations
+
+
+def _bracket(lo: float, hi: float, bracketed: bool = False) -> list:
+    """The state :func:`_newton_step` keeps: the box ends, the bracket, whether each
+    bracket end carries an evaluated value, and the last step."""
+    return [lo, hi, lo, hi, bracketed, bracketed, hi - lo]
+
+
+def _newton_step(bracket: list, x: float, value: float, derivative: float):
+    """The next point of :func:`_newton_root` after the value and derivative at ``x``, or ``None``.
+
+    ``None`` means ``x`` is the root: the value there is zero, or it points
+    out of the box at an end (``>= 0`` at the lower, ``<= 0`` at the
+    upper), or the Newton step is below the tolerance. Otherwise the value's
+    sign moves one end of the bracket to ``x``, and the Newton step is
+    taken. A step that leaves the bracket goes to the end on that side
+    while that end is unevaluated, otherwise bisects, as does a step that
+    fails to halve the last one; a derivative that is not positive counts
+    as a step out of the bracket. A step so taken that is below the
+    tolerance also ends the search. Updates ``bracket``.
+    """
+    lo_end, hi_end, lo, hi, lo_seen, hi_seen, last_step = bracket
+    if value >= 0.0 and x == lo_end or value <= 0.0 and x == hi_end or value == 0.0:
+        return None
+    if value > 0.0:
+        hi, hi_seen = x, True
+    else:
+        lo, lo_seen = x, True
+    new = x - value / derivative if derivative > 0.0 else math.copysign(math.inf, -value)
+    tol = _ROOT_XTOL + _ROOT_RTOL * abs(x)
+    if abs(new - x) <= tol:
+        return None
+    if not lo < new < hi:
+        if new >= hi and not hi_seen:
+            new = hi
+        elif new <= lo and not lo_seen:
+            new = lo
+        else:
+            new = 0.5 * (lo + hi)
+    elif lo_seen and hi_seen and abs(new - x) > 0.5 * abs(last_step):
+        new = 0.5 * (lo + hi)
+    if abs(new - x) <= tol:
+        return None
+    bracket[2:] = lo, hi, lo_seen, hi_seen, new - x
+    return new
 
 
 def fit_power_law(data: TruncatedView) -> FitResult:
@@ -282,17 +303,18 @@ class _OffsetDerivatives(NamedTuple):
     rounding: float  # the slope's rounding level
 
 
-def _continuous_alpha(stats: _TailStats, b: float, data: float) -> float:
+def _continuous_alpha(n, x_min, b, data):
     """Newton's start: the continuous MLE ``1 + n / sum c log((b + v) / (b + x_min - 1/2))``.
 
     ``data`` is ``sum c log(b + v)``. Where the half-step edge
-    ``b + x_min - 1/2`` is not positive, the edge is ``b + x_min``.
+    ``b + x_min - 1/2`` is not positive, the edge is ``b + x_min``. Takes
+    floats or arrays of one shape, and returns an array.
     """
-    edge = b + stats.x_min - 0.5
-    if edge <= 0.0:
-        edge += 0.5
-    spread = data - stats.n * math.log(edge)
-    return 1.0 + stats.n / spread if spread > 0.0 else ALPHA_MAX
+    edge = b + x_min - 0.5
+    edge = np.where(edge <= 0.0, edge + 0.5, edge)
+    spread = data - n * np.log(edge)
+    positive = spread > 0.0
+    return np.where(positive, 1.0 + n / np.where(positive, spread, 1.0), ALPHA_MAX)
 
 
 def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _ProfilePoint:
@@ -315,7 +337,7 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _Profi
     data = float(stats.counts @ np.log(b + stats.values))
     target = data / stats.n - log_edge  # the score is n (target - E_p[l])
     if start is None:
-        start = _continuous_alpha(stats, b, data)
+        start = float(_continuous_alpha(stats.n, stats.x_min, b, data))
 
     def score(alpha):
         z, s1, s2 = sums(alpha)
@@ -326,6 +348,46 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _Profi
     pinned = grad_a >= 0.0 and alpha == _ALPHA_LO or grad_a <= 0.0 and alpha == ALPHA_MAX
     return _ProfilePoint(alpha, b, pinned, iterations,
                          alpha * data + stats.n * (math.log(z) - alpha * log_edge), grad_a)
+
+
+def _alpha_roots(offsets: np.ndarray, n: np.ndarray, target: np.ndarray,
+                 start: np.ndarray):
+    """:func:`_alpha_at`'s solve at many offsets ``b + x_min`` at once, each cold from its ``start``.
+
+    ``n``, ``target`` and ``start`` are the entries' sample sizes, score
+    targets and starts. Entry by entry this is :func:`_newton_root` on the score in
+    ``[_ALPHA_LO, ALPHA_MAX]``: each round evaluates the scores of the
+    entries still active in one array pass, then takes each entry's
+    :func:`_newton_step`. Returns each entry's last alpha evaluated, its
+    score and ``S_0`` there, and its number of evaluations.
+    """
+    size = len(start)
+    found = np.empty((3, size))  # alpha, score, S_0
+    evaluations = np.empty(size, dtype=np.int64)
+    active = np.arange(size)
+    brackets = [_bracket(_ALPHA_LO, ALPHA_MAX) for _ in range(size)]
+    sums = PowerLawWindowSums(offsets)
+    x = np.clip(start, _ALPHA_LO, ALPHA_MAX)
+    for count in range(1, _ROOT_MAX_ITER + 1):
+        s0, s1, s2 = sums(x)
+        mean = s1 / s0
+        value = n * (target - mean)
+        derivative = n * (s2 / s0 - mean * mean)
+        del s1, s2, mean
+        steps = [_newton_step(*entry) for entry in
+                 zip(brackets, x.tolist(), value.tolist(), derivative.tolist())]
+        done = np.array([new is None for new in steps]) | (count == _ROOT_MAX_ITER)
+        finished = active[done]
+        found[:, finished] = x[done], value[done], s0[done]
+        evaluations[finished] = count
+        if done.all():
+            break
+        keep = np.flatnonzero(~done)
+        x = np.array([steps[i] for i in keep])
+        brackets = [brackets[i] for i in keep]
+        active, sums, n, target = active[keep], sums.take(keep), n[keep], target[keep]
+        del s0, value, derivative, steps
+    return (*found, evaluations)
 
 
 def _offset_derivatives(stats: _TailStats, point: _ProfilePoint) -> _OffsetDerivatives:
@@ -577,43 +639,109 @@ def _offset(t: float) -> float:
     return min(max(math.expm1(t), _B_LO), B_MAX)
 
 
-def fit_hooked(data: TruncatedView) -> FitResult:
-    """MLE for the hooked power law by profile likelihood over the offset.
+#: The fixed profile grid over ``t = log(B + 1)``, and its offsets.
+_GRID_T = np.linspace(math.log1p(_B_LO), math.log1p(B_MAX), _PROFILE_GRID).tolist()
+_GRID_B = np.array([_offset(t) for t in _GRID_T])
+#: Views whose profile grids one array pass solves: with ``_PROFILE_GRID``
+#: entries per view, this bounds the pass's memory whatever the number of views.
+_GRID_VIEWS = 32
+#: Distinct values per block when summing ``c log(b + v)`` over the grid.
+_DATA_BLOCK = 4096
 
-    The objective is minimised over ``t = log(B + 1)`` on
-    ``[B_MIN, B_MAX]``, with alpha solved exactly at each ``B`` by
-    :func:`_alpha_at`, each solve starting from the alpha of the point
-    before. A fixed grid of profile points locates the best region. It
-    is kept because on a two-regime mixture the profile can have two local
-    minima, and a local search for the slope root can stop in the worse
-    one with ``converged`` just as true. Between the best grid point and
-    the neighbour across which the profile slope changes sign,
-    :func:`_newton_root` finds the root of that slope, starting from the
-    secant of the two. :func:`_offset_derivatives` gives the slope and its
-    derivative at those two points and at each point of the root phase,
-    and nowhere else. The lower of the grid point and the root is
-    returned. ``converged`` means the projected analytic gradient there is
-    below ``HOOKED_GRAD_TOL``; ``iterations`` counts the profile points evaluated.
+
+class _ProfileGrid(NamedTuple):
+    """The profile at each point of the grid, from :func:`_profile_grids`."""
+
+    alpha: np.ndarray
+    pinned: np.ndarray
+    iterations: np.ndarray
+    neg_log_likelihood: np.ndarray
+    score: np.ndarray
+
+    def point(self, i: int) -> _ProfilePoint:
+        return _ProfilePoint(float(self.alpha[i]), float(_GRID_B[i]), bool(self.pinned[i]),
+                             int(self.iterations[i]), float(self.neg_log_likelihood[i]),
+                             float(self.score[i]))
+
+
+def _grid_data(stats: _TailStats) -> np.ndarray:
+    """``sum c log(b + v)`` at each grid offset ``b``, a block of distinct values at a time."""
+    data = np.zeros(_PROFILE_GRID)
+    for lo in range(0, len(stats.values), _DATA_BLOCK):
+        block = slice(lo, lo + _DATA_BLOCK)
+        data += np.log(_GRID_B[:, None] + stats.values[block]) @ stats.counts[block]
+    return data
+
+
+def _profile_grids(views: list[_TailStats]) -> list[_ProfileGrid]:
+    """Each view's profile at every grid offset, solved in one array pass.
+
+    The pass holds one entry per (view, grid point) and solves alpha at all
+    of them together by :func:`_alpha_roots`, each from its continuous MLE.
+    An entry's arithmetic does not depend on the other entries, so a view's
+    grid is the same in any batch.
     """
+    shape = (len(views), _PROFILE_GRID)
+    n = np.repeat([float(stats.n) for stats in views], _PROFILE_GRID)
+    x_min = np.repeat([float(stats.x_min) for stats in views], _PROFILE_GRID)
+    b = np.tile(_GRID_B, len(views))
+    data = np.concatenate([_grid_data(stats) for stats in views])
+    offsets = b + x_min
+    log_edge = np.log(offsets)
+    start = _continuous_alpha(n, x_min, b, data)
+    del x_min, b
+    alpha, score, z, iterations = _alpha_roots(offsets, n, data / n - log_edge, start)
+    pinned = (score >= 0.0) & (alpha == _ALPHA_LO) | (score <= 0.0) & (alpha == ALPHA_MAX)
+    nll = alpha * data + n * (np.log(z) - alpha * log_edge)
+    columns = [column.reshape(shape) for column in (alpha, pinned, iterations, nll, score)]
+    return [_ProfileGrid(*row) for row in zip(*columns)]
+
+
+def _hooked_stats(data: TruncatedView) -> _TailStats:
     stats = _TailStats(data)
     if stats.n < MIN_TAIL_TWO_PARAM:
         raise DegenerateDataError("hooked-power-law fit needs at least three points")
     if stats.degenerate:
         raise DegenerateDataError("hooked-power-law fit needs at least two distinct values")
+    return stats
 
-    grid = np.linspace(math.log1p(_B_LO), math.log1p(B_MAX), _PROFILE_GRID).tolist()
-    points = []
-    for t in grid:
-        points.append(_alpha_at(stats, _offset(t), points[-1].alpha if points else None))
-    k = min(range(_PROFILE_GRID), key=lambda i: points[i].neg_log_likelihood)
-    best, iterations = points[k], _PROFILE_GRID
+
+def fit_hooked(data: TruncatedView) -> FitResult:
+    """MLE for the hooked power law by profile likelihood over the offset.
+
+    The objective is minimised over ``t = log(B + 1)`` on
+    ``[B_MIN, B_MAX]``, with alpha solved exactly at each ``B`` as by
+    :func:`_alpha_at`. A fixed grid of profile points locates the best
+    region; :func:`_profile_grids` solves it in one array pass, every point
+    cold from its continuous MLE. The grid is kept because on a two-regime
+    mixture the profile can have two local minima, and a local search for
+    the slope root can stop in the worse one with ``converged`` just as
+    true. Between the best grid point and the neighbour across which the
+    profile slope changes sign, :func:`_newton_root` finds the root of that
+    slope, starting from the secant of the two, each of its points solved
+    by :func:`_alpha_at` from the alpha of the point before.
+    :func:`_offset_derivatives` gives the slope and its derivative at
+    those two grid points and at each point of the root phase, and nowhere
+    else. The lower of the grid point and the root is returned.
+    ``converged`` means the projected analytic gradient there is below
+    ``HOOKED_GRAD_TOL``; ``iterations`` counts the profile points evaluated.
+    :func:`fit_many` fits many views this way, their grids solved together.
+    """
+    stats = _hooked_stats(data)
+    return _fit_hooked_profile(data, stats, _profile_grids([stats])[0])
+
+
+def _fit_hooked_profile(data: TruncatedView, stats: _TailStats, grid: _ProfileGrid) -> FitResult:
+    """:func:`fit_hooked` from the view's solved profile grid on: the slope root and the result."""
+    k = int(np.argmin(grid.neg_log_likelihood))
+    best, iterations = grid.point(k), _PROFILE_GRID
     at_best = _offset_derivatives(stats, best)
     side = k + 1 if at_best.slope < 0.0 else k - 1
-    side_slope = (_offset_derivatives(stats, points[side]).slope
+    side_slope = (_offset_derivatives(stats, grid.point(side)).slope
                   if 0 <= side < _PROFILE_GRID else 0.0)
     if side_slope * at_best.slope < 0.0:
-        (lo, slope_lo), (hi, slope_hi) = sorted(((grid[k], at_best.slope),
-                                                 (grid[side], side_slope)))
+        (lo, slope_lo), (hi, slope_hi) = sorted(((_GRID_T[k], at_best.slope),
+                                                 (_GRID_T[side], side_slope)))
         path = [(best, at_best)]
 
         def slope(t):
@@ -631,6 +759,33 @@ def fit_hooked(data: TruncatedView) -> FitResult:
                                          ((_ALPHA_LO, ALPHA_MAX), (_B_LO, B_MAX)))
     return _fit_result(HookedPowerLawParams(best.alpha, best.b), data,
                        grad_norm < HOOKED_GRAD_TOL, iterations, grad_norm)
+
+
+def fit_many(views: Iterable[TruncatedView], kind: str) -> list[FitResult | None]:
+    """Fit ``kind`` to each view, in order; ``None`` for a view too degenerate to fit.
+
+    Each fit equals ``fit_kind(view, kind)``. The hooked fits solve their
+    profile grids together, ``_GRID_VIEWS`` views to a pass, and take the
+    views from ``views`` as they go.
+    """
+    if kind != "hooked":
+        return [_fit_or_none(view, kind) for view in views]
+    fits = []
+    views = iter(views)
+    while chunk := list(itertools.islice(views, _GRID_VIEWS)):
+        stats = [_fit_or_none(view, _hooked_stats) for view in chunk]
+        grids = iter(_profile_grids([s for s in stats if s is not None]))
+        fits += [None if s is None else _fit_hooked_profile(view, s, next(grids))
+                 for view, s in zip(chunk, stats)]
+    return fits
+
+
+def _fit_or_none(view: TruncatedView, fit):
+    """``fit(view)``, with ``fit`` a kind name or a function; ``None`` where the view is degenerate."""
+    try:
+        return fit_kind(view, fit) if isinstance(fit, str) else fit(view)
+    except DegenerateDataError:
+        return None
 
 
 FITTERS: dict[str, Callable[[TruncatedView], FitResult]] = {

@@ -57,6 +57,40 @@ _HEAD_TERMS = 16
 #: ``B_2m / (2m)!`` for m = 1..4, the Euler-Maclaurin coefficients of the
 #: derivatives of odd order 1, 3, 5 and 7.
 _BERNOULLI = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
+#: The window points ``j`` at which an array of offsets takes its weights:
+#: the head, then the ends ``a = y0 + 16`` and ``e = y0 + 9999`` of the tail.
+_POINTS = np.array([*range(_HEAD_TERMS), _HEAD_TERMS, NORMALIZATION_TERMS - 1.0])[:, None]
+#: ``_BERNOULLI`` by order and end, with the sign that the odd derivatives'
+#: ``-y**-m`` takes in the Euler-Maclaurin difference: + at ``a``, - at ``e``.
+_BERNOULLI_SIGNED = np.multiply.outer(_BERNOULLI, [1.0, -1.0])[..., None]
+
+
+
+
+def _rising_polynomials() -> np.ndarray:
+    """The rising factorials ``(alpha)_m`` at m = 1, 3, 5, 7 as polynomials in alpha.
+
+    Indexed ``[degree, order, derivative, 0]``, with the first two
+    alpha-derivatives; every coefficient is a small integer.
+    """
+    out = np.zeros((8, 4, 3, 1))
+    poly = np.array([1.0])  # ascending coefficients of (alpha)_0 = 1
+    for i in range(7):
+        poly = np.convolve(poly, [float(i), 1.0])  # times (alpha + i)
+        if i % 2 == 0:
+            d1 = poly[1:] * np.arange(1, len(poly))
+            d2 = d1[1:] * np.arange(1, len(d1))
+            for k, coeffs in enumerate((poly, d1, d2)):
+                out[:len(coeffs), i // 2, k, 0] = coeffs
+    return out
+
+
+_RISING = _rising_polynomials()
+#: ``1 / (n! (n + i + 1))``, the coefficients of ``z**n`` in ``_phi``'s power
+#: series, for n <= 25, padded with zeros to 32 terms: ``[i, n, 0]``.
+_SERIES_COEFFICIENTS = np.array(
+    [[1.0 / (math.factorial(n) * (n + i + 1)) if n <= 25 else 0.0 for n in range(32)]
+     for i in range(3)])[:, :, None]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -177,13 +211,21 @@ def normalization_window(x_min: int) -> np.ndarray:
     return np.arange(x_min, x_min + NORMALIZATION_TERMS, dtype=float)
 
 
-def _phi(z: float) -> tuple[float, float, float]:
+def _phi(z):
     """``phi_i(z)``, the integral of ``t**i exp(z t)`` over ``[0, 1]``, for i = 0, 1, 2.
 
     A power series near zero; elsewhere ``expm1`` and the recurrence
     ``phi_i = (exp(z) - i phi_(i-1)) / z`` from integration by parts,
-    which for ``|z| >= 2`` and ``i <= 2`` does not amplify rounding.
+    which for ``|z| >= 2`` and ``i <= 2`` does not amplify rounding. An
+    array ``z`` gives the three results stacked, with the series taken on
+    its entries with ``|z| < 2`` only (:func:`_phi_series`).
     """
+    if isinstance(z, np.ndarray):
+        small = np.abs(z) < 2.0
+        phi = np.array(_phi_closed(np.where(small, -2.0, z), np))
+        if small.any():
+            phi[:, small] = _phi_series(z[small])
+        return phi
     if abs(z) < 2.0:
         phi0, phi1, phi2 = 1.0, 0.5, 1.0 / 3.0
         term, n = 1.0, 0
@@ -194,9 +236,40 @@ def _phi(z: float) -> tuple[float, float, float]:
             phi1 += term / (n + 2)
             phi2 += term / (n + 3)
         return phi0, phi1, phi2
-    phi0 = math.expm1(z) / z
-    phi1 = (math.exp(z) - phi0) / z
-    return phi0, phi1, (math.exp(z) - 2.0 * phi1) / z
+    return _phi_closed(z, math)
+
+
+def _phi_closed(z, xp):
+    """:func:`_phi` by the recurrence, with ``xp`` (``math`` or numpy) for ``exp`` and ``expm1``."""
+    phi0 = xp.expm1(z) / z
+    phi1 = (xp.exp(z) - phi0) / z
+    return phi0, phi1, (xp.exp(z) - 2.0 * phi1) / z
+
+
+def _phi_series(z: np.ndarray) -> np.ndarray:
+    """:func:`_phi`'s power series at an array of ``z`` with ``|z| < 2``, as rows i = 0, 1, 2.
+
+    ``phi_i`` is the sum of ``z**n / (n! (n + i + 1))`` over n; the terms
+    past n = 25 are below 1e-17. The powers come as a running product and
+    each row's terms are added as a pairwise tree.
+    """
+    powers = np.empty((_SERIES_COEFFICIENTS.shape[1], len(z)))
+    powers[0] = 1.0
+    np.multiply.accumulate(np.broadcast_to(z, powers[1:].shape), out=powers[1:])
+    return np.stack([_tree_sum(coefficients * powers) for coefficients in _SERIES_COEFFICIENTS])
+
+
+def _tree_sum(terms: np.ndarray) -> np.ndarray:
+    """The sum over the first axis, of length a power of two, as a pairwise tree; overwrites ``terms``.
+
+    Every entry of the result takes the same additions in the same order,
+    whatever the other entries are.
+    """
+    size = len(terms)
+    while size > 1:
+        size //= 2
+        terms[:size] += terms[size:2 * size]
+    return terms[0]
 
 
 class PowerLawWindowSums:
@@ -222,9 +295,18 @@ class PowerLawWindowSums:
     to 2**62.
 
     The head and the endpoints depend on ``y0`` alone and are computed once.
+
+    ``offset`` may also be a 1-D array of offsets, and ``alpha`` then an
+    array of the same shape: each sum comes back as an array, computed by
+    :class:`_ArrayWindowSums`. Float arithmetic serves a single offset,
+    for which a numpy call would cost as much as some twenty float
+    operations.
     """
 
     __slots__ = ("offset", "log_offset", "_head", "_ends", "_log_a", "_span")
+
+    def __new__(cls, offset):
+        return object.__new__(_ArrayWindowSums if isinstance(offset, np.ndarray) else cls)
 
     def __init__(self, offset: float):
         self.offset = offset
@@ -277,6 +359,90 @@ class PowerLawWindowSums:
                 s2 += g * (p * ell * ell - 2.0 * dp * ell + ddp)
                 f *= inv2
         return s0, s1, s2
+
+
+class _ArrayWindowSums(PowerLawWindowSums):
+    """:class:`PowerLawWindowSums` at an array of offsets, computed on stacks of terms.
+
+    The same formulas, entry by entry, in few numpy calls: the weights at the
+    head and both ends come as one array, the head is summed as a pairwise
+    tree, and the rising factorials of the Bernoulli corrections come as
+    polynomials in alpha. No sum runs across entries, so an entry's sums do not depend on the
+    other entries of its array.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, offset: np.ndarray):
+        # one row per quantity: l at the head and at a and e, log(e / a), the offset
+        last = NORMALIZATION_TERMS - 1
+        table = np.empty((len(_POINTS) + 2, len(offset)))
+        np.log1p(_POINTS / offset, out=table[:len(_POINTS)])
+        np.log1p((last - _HEAD_TERMS) / (offset + _HEAD_TERMS), out=table[-2])
+        table[-1] = offset
+        self._view(table)
+
+    def _view(self, table: np.ndarray):
+        """Point the attributes at the rows of ``table``."""
+        self._head, self._log_a, self._span, self.offset = (
+            table, table[_HEAD_TERMS], table[-2], table[-1])
+
+    @property
+    def log_offset(self) -> np.ndarray:
+        return np.log(self.offset)
+
+    def take(self, index) -> "_ArrayWindowSums":
+        """The sums at the offsets ``offset[index]``."""
+        sums = object.__new__(_ArrayWindowSums)
+        sums._view(self._head.take(index, axis=1))
+        return sums
+
+    def __call__(self, alpha: np.ndarray):
+        # D + 1/2, D' and D'' at a and at e, [derivative, end]: the rising factorials
+        # [order, derivative], by Horner, against the weights c_m y**-m at each end
+        rising = _RISING[-1] * alpha
+        for coefficients in _RISING[-2:0:-1]:
+            rising += coefficients
+            rising *= alpha
+        rising += _RISING[0]
+        weight = 1.0 / (self.offset + _POINTS[_HEAD_TERMS:])  # 1 / y at a and e
+        square = weight * weight
+        d = np.zeros((3,) + weight.shape)
+        d[0] += 0.5
+        for c, p in zip(_BERNOULLI_SIGNED, rising):
+            d += p[:, None] * (c * weight)
+            weight *= square
+        del rising, square, weight
+        # the head's sums of w l**k, k = 0, 1, 2, each as a pairwise tree; numpy
+        # takes a buffer for a broadcast or strided operand, so none is used while
+        # the weights are held
+        ell = self._head[:len(_POINTS)]
+        w = np.multiply(ell, -alpha)
+        np.exp(w, out=w)
+        wl = w * ell
+        ends = np.stack((w[_HEAD_TERMS:], wl[_HEAD_TERMS:], wl[_HEAD_TERMS:] * ell[_HEAD_TERMS:]))
+        s0 = _tree_sum(w[:_HEAD_TERMS]).copy()
+        np.multiply(wl[:_HEAD_TERMS], ell[:_HEAD_TERMS], out=w[:_HEAD_TERMS])
+        sums = np.stack((s0, _tree_sum(wl[:_HEAD_TERMS]), _tree_sum(w[:_HEAD_TERMS])))
+        del w, wl, s0
+        # at each end, w l**k (D + 1/2) - k w l**(k - 1) D' + k (k - 1) / 2 w l**(k - 2) D''
+        corrections = ends * d[0]
+        corrections[1] -= ends[0] * d[1]
+        corrections[2] -= 2.0 * ends[1] * d[1] - ends[0] * d[2]
+        sums += corrections[:, 0]
+        sums += corrections[:, 1]
+        del ends, corrections
+        # the integral, scale times those of (la + span t)**k exp(z t) over [0, 1]:
+        # phi_0, la phi_0 + span phi_1, and la (la phi_0 + span phi_1) + span (la phi_1 + span phi_2)
+        s = 1.0 - alpha
+        la, span = self._log_a, self._span
+        phi = _phi(s * span)
+        mixed = la * phi[:2] + span * phi[1:]
+        phi[1] = mixed[0]
+        phi[2] = la * mixed[0] + span * mixed[1]
+        phi *= self.offset * np.exp(s * la) * span
+        sums += phi
+        return tuple(sums)
 
 
 def unnormalized_weight(params: ParamSpec, x):

@@ -31,13 +31,12 @@ import numpy as np
 
 from .dataset import CountDataset, TruncatedView, truncate
 from .errors import (
-    DegenerateDataError,
     InternalConsistencyError,
     OutOfModelError,
     ParameterError,
     UsageError,
 )
-from .fitting import fit_hooked, fit_kind, neg_log_likelihood
+from .fitting import fit_hooked, fit_many, neg_log_likelihood
 from .kernels import (
     FAMILIES,
     DiscreteDistribution,
@@ -110,10 +109,12 @@ def _run_cells(rows, cols, replicates, seed, kind, targets, cell, description):
     pairs, the values a tuple.
     ``cell(i, j)`` gives grid cell (i, j)'s generating distribution and
     sample size, built once per cell. Replicate r draws from it with
-    :func:`replicate_seed` ``(seed, i, j, r)``, fits ``kind`` back to the
-    sample truncated at x_min = 1 and records the fitted parameters named
-    in ``targets``; a fit that is degenerate or does not converge is
-    excluded instead.
+    :func:`replicate_seed` ``(seed, i, j, r)``. A cell's samples, truncated
+    at x_min = 1, go to :func:`~citefit.fitting.fit_many` in one call, which
+    fits ``kind`` back to each (the hooked law solves their profile grids in
+    one array pass). Each fit's parameters named in ``targets`` are
+    recorded; a fit that is degenerate or does not converge is excluded
+    instead.
     """
     (row_name, row_values), (col_name, col_values) = rows, cols
     shape = (len(row_values), len(col_values))
@@ -124,12 +125,9 @@ def _run_cells(rows, cols, replicates, seed, kind, targets, cell, description):
         for j in range(shape[1]):
             gen, n = cell(i, j)
             recorded = [[] for _ in targets]
-            for r in range(replicates):
-                sample = gen.sample(n, replicate_seed(seed, i, j, r))
-                try:
-                    fit = fit_kind(truncate(CountDataset(sample), 1), kind)
-                except DegenerateDataError:
-                    fit = None
+            views = (truncate(CountDataset(gen.sample(n, replicate_seed(seed, i, j, r))), 1)
+                     for r in range(replicates))
+            for fit in fit_many(views, kind):
                 if fit is None or not fit.converged:
                     exclusions[i, j] += 1
                     continue
