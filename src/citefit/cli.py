@@ -268,7 +268,7 @@ def cmd_ci_study(args):
         grid = simulation.ci_width_study(
             args.kind,
             parse_axis(args.alpha_grid),
-            [int(v) for v in parse_axis(args.n_grid)],
+            parse_axis(args.n_grid),
             replicates=replicates,
             seed=args.seed,
             B=args.B,

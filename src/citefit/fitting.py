@@ -365,7 +365,7 @@ def _alpha_roots(offsets: np.ndarray, n: np.ndarray, target: np.ndarray,
     found = np.empty((3, size))  # alpha, score, S_0
     evaluations = np.empty(size, dtype=np.int64)
     active = np.arange(size)
-    brackets = [_bracket(_ALPHA_LO, ALPHA_MAX) for _ in range(size)]
+    brackets = np.array([_bracket(_ALPHA_LO, ALPHA_MAX)] * size)  # one row per entry
     sums = PowerLawWindowSums(offsets)
     x = np.clip(start, _ALPHA_LO, ALPHA_MAX)
     for count in range(1, _ROOT_MAX_ITER + 1):
@@ -374,8 +374,9 @@ def _alpha_roots(offsets: np.ndarray, n: np.ndarray, target: np.ndarray,
         value = n * (target - mean)
         derivative = n * (s2 / s0 - mean * mean)
         del s1, s2, mean
+        rows = brackets.tolist()
         steps = [_newton_step(*entry) for entry in
-                 zip(brackets, x.tolist(), value.tolist(), derivative.tolist())]
+                 zip(rows, x.tolist(), value.tolist(), derivative.tolist())]
         done = np.array([new is None for new in steps]) | (count == _ROOT_MAX_ITER)
         finished = active[done]
         found[:, finished] = x[done], value[done], s0[done]
@@ -384,9 +385,9 @@ def _alpha_roots(offsets: np.ndarray, n: np.ndarray, target: np.ndarray,
             break
         keep = np.flatnonzero(~done)
         x = np.array([steps[i] for i in keep])
-        brackets = [brackets[i] for i in keep]
+        brackets = np.array([rows[i] for i in keep])
         active, sums, n, target = active[keep], sums.take(keep), n[keep], target[keep]
-        del s0, value, derivative, steps
+        del s0, value, derivative, rows, steps
     return (*found, evaluations)
 
 
@@ -774,7 +775,8 @@ def fit_many(views: Iterable[TruncatedView], kind: str) -> list[FitResult | None
     views = iter(views)
     while chunk := list(itertools.islice(views, _GRID_VIEWS)):
         stats = [_fit_or_none(view, _hooked_stats) for view in chunk]
-        grids = iter(_profile_grids([s for s in stats if s is not None]))
+        fitted = [s for s in stats if s is not None]
+        grids = iter(_profile_grids(fitted) if fitted else ())
         fits += [None if s is None else _fit_hooked_profile(view, s, next(grids))
                  for view, s in zip(chunk, stats)]
     return fits

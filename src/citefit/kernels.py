@@ -409,21 +409,21 @@ class _ArrayWindowSums(PowerLawWindowSums):
         square = weight * weight
         d = np.zeros((3,) + weight.shape)
         d[0] += 0.5
-        for c, p in zip(_BERNOULLI_SIGNED, rising):
-            d += p[:, None] * (c * weight)
+        for c, order in zip(_BERNOULLI_SIGNED, rising):
+            d += order[:, None] * (c * weight)
             weight *= square
-        del rising, square, weight
-        # the head's sums of w l**k, k = 0, 1, 2, each as a pairwise tree; numpy
-        # takes a buffer for a broadcast or strided operand, so none is used while
-        # the weights are held
+        del rising, order, square, weight
+        # the head's sums of w l**k, k = 0, 1, 2, each as a pairwise tree, and w l**k
+        # at the ends. numpy takes a buffer for a broadcast operand, so no broadcast
+        # is made while the weights are held.
         ell = self._head[:len(_POINTS)]
         w = np.multiply(ell, -alpha)
         np.exp(w, out=w)
         wl = w * ell
-        ends = np.stack((w[_HEAD_TERMS:], wl[_HEAD_TERMS:], wl[_HEAD_TERMS:] * ell[_HEAD_TERMS:]))
         s0 = _tree_sum(w[:_HEAD_TERMS]).copy()
-        np.multiply(wl[:_HEAD_TERMS], ell[:_HEAD_TERMS], out=w[:_HEAD_TERMS])
+        np.multiply(wl[:_HEAD_TERMS], ell[:_HEAD_TERMS], out=w[:_HEAD_TERMS])  # w l**2
         sums = np.stack((s0, _tree_sum(wl[:_HEAD_TERMS]), _tree_sum(w[:_HEAD_TERMS])))
+        ends = np.stack((w[_HEAD_TERMS:], wl[_HEAD_TERMS:], wl[_HEAD_TERMS:] * ell[_HEAD_TERMS:]))
         del w, wl, s0
         # at each end, w l**k (D + 1/2) - k w l**(k - 1) D' + k (k - 1) / 2 w l**(k - 2) D''
         corrections = ends * d[0]
@@ -431,7 +431,7 @@ class _ArrayWindowSums(PowerLawWindowSums):
         corrections[2] -= 2.0 * ends[1] * d[1] - ends[0] * d[2]
         sums += corrections[:, 0]
         sums += corrections[:, 1]
-        del ends, corrections
+        del ends, corrections, d
         # the integral, scale times those of (la + span t)**k exp(z t) over [0, 1]:
         # phi_0, la phi_0 + span phi_1, and la (la phi_0 + span phi_1) + span (la phi_1 + span phi_2)
         s = 1.0 - alpha

@@ -98,8 +98,33 @@ class CIWidthGrid:
 
 
 def _interquantile_width(values: list[float]) -> float:
-    lo, hi = np.percentile(np.asarray(values, dtype=float), [5.0, 95.0])
-    return float(hi - lo)
+    """The width from the 5th to the 95th percentile, by numpy's default linear rule.
+
+    The same values as ``np.percentile``, whose first call imports ``numpy.ma``.
+    """
+    ordered = np.sort(np.asarray(values, dtype=float)).tolist()
+    return _linear_quantile(ordered, 95.0 / 100.0) - _linear_quantile(ordered, 5.0 / 100.0)
+
+
+def _linear_quantile(ordered: list[float], q: float) -> float:
+    """The ``q`` quantile of at least two sorted values, interpolated as numpy's ``linear`` method.
+
+    At position ``(n - 1) q`` between neighbours ``a <= b`` with fraction
+    ``g``, it is ``a + (b - a) g``, or ``b - (b - a) (1 - g)`` for ``g >= 1/2``.
+    """
+    position = (len(ordered) - 1) * q
+    i = math.floor(position)
+    fraction = position - i
+    a, b = ordered[i], ordered[min(i + 1, len(ordered) - 1)]
+    step = b - a
+    return b - step * (1.0 - fraction) if fraction >= 0.5 else a + step * fraction
+
+
+def _sample_size(n) -> int:
+    """``n`` as a study's sample size: a whole number of at least one, else a UsageError."""
+    if not (float(n).is_integer() and n >= 1):
+        raise UsageError(f"sample size must be a whole number >= 1, got {n:g}")
+    return int(n)
 
 
 def _run_cells(rows, cols, replicates, seed, kind, targets, cell, description):
@@ -176,7 +201,7 @@ def ci_width_study(kind: str, parameter_grid, n_grid, replicates: int, seed: int
     if kind not in ("hooked", "pl"):
         raise UsageError(f"unsupported generator kind {kind!r} for the alpha study")
     alphas = tuple(float(a) for a in parameter_grid)
-    sizes = tuple(int(n) for n in n_grid)
+    sizes = tuple(_sample_size(n) for n in n_grid)
 
     def cell(i, j):
         if kind == "hooked":
@@ -197,6 +222,7 @@ def lognormal_ci_study(mu_grid, sigma_grid, n: int, replicates: int,
     """
     if replicates < 2:
         raise UsageError("need at least two replicates to form an interval")
+    n = _sample_size(n)
     mus = tuple(float(m) for m in mu_grid)
     sigmas = tuple(float(s) for s in sigma_grid)
 

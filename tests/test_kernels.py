@@ -119,6 +119,44 @@ class TestPowerLawWindowSums:
                     assert all(math.isfinite(s) and s >= 0 for s in sums(alpha))
                 assert math.isfinite(HookedPowerLawParams(20.0, B).log_normalizer(2**62))
 
+    OFFSETS = [B + x_min for B in (-0.999, 0.0, 10.0, 1e3, 1e6)
+               for x_min in (1, 5, 100, 5000, 2**62)]
+
+    def test_array_against_the_explicit_window(self):
+        # every (offset, alpha) pair of the cases above as entries of one array
+        offsets, alphas = (np.array(v) for v in zip(*[
+            (y0, alpha) for y0 in self.OFFSETS if y0 < 2**62 for alpha in self.ALPHAS]))
+        got = np.array(PowerLawWindowSums(offsets)(alphas))
+        for k, (y0, alpha) in enumerate(zip(offsets.tolist(), alphas.tolist())):
+            s0, s1, s2 = got[:, k]
+            r0, r1, r2 = fsum_window_sums(alpha, y0)
+            assert s0 == pytest.approx(r0, rel=1e-13, abs=0)
+            assert s1 == pytest.approx(r1, rel=1e-12, abs=0)
+            assert s2 == pytest.approx(r2, rel=1e-12, abs=0)
+
+    def test_array_finite_without_warnings_at_huge_x_min(self):
+        offsets = np.array([B + 2**62 for B in (-0.999, 0.0, 1e6)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sums = PowerLawWindowSums(offsets)
+            for alpha in self.ALPHAS + (21.0,):
+                got = np.array(sums(np.full(len(offsets), alpha)))
+                assert np.all(np.isfinite(got)) and np.all(got >= 0)
+
+    def test_array_entries_agree_with_floats_and_not_with_each_other(self):
+        # the float form is the reference; an entry's sums do not depend on the
+        # other entries of its array, so they are the same alone, bit for bit
+        offsets = np.array(self.OFFSETS)
+        rng = np.random.default_rng(7)
+        alphas = rng.uniform(1.0 + 1e-9, 21.0, len(offsets))
+        together = np.array(PowerLawWindowSums(offsets)(alphas))
+        for k, (y0, alpha) in enumerate(zip(offsets.tolist(), alphas.tolist())):
+            alone = np.array(PowerLawWindowSums(offsets[k:k + 1])(alphas[k:k + 1]))[:, 0]
+            assert np.array_equal(alone, together[:, k])
+            assert alone == pytest.approx(PowerLawWindowSums(y0)(alpha), rel=1e-14, abs=0)
+        taken = PowerLawWindowSums(offsets).take(np.arange(0, len(offsets), 3))
+        assert np.array_equal(np.array(taken(alphas[::3])), together[:, ::3])
+
     def test_no_window_pass_for_the_power_laws(self):
         # a window of floats takes 80 kB; the closed form and its fitters need none
         view = truncate(CountDataset((7, 7, 8, 9, 12, 15, 30, 31, 90, 400)), 7)
