@@ -349,6 +349,31 @@ class TestCiStudyCommand:
         assert len(payload["widths"]) == 1
 
 
+    @pytest.mark.parametrize("kind", ["hooked", "ln"])
+    def test_leaves_numpy_ma_unimported(self, kind):
+        # the study's percentile widths need no numpy.ma, whose import costs ~20 ms
+        args = (["--kind", "hooked", "--alpha-grid", "3", "--n-grid", "200"] if kind == "hooked"
+                else ["--kind", "ln", "--mu-grid", "1", "--sigma-grid", "1", "--n", "200"])
+        r = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, contextlib, io; from citefit.cli import main; "
+             "out = io.StringIO(); "
+             "code = contextlib.redirect_stdout(out).__enter__() and main(sys.argv[1:]); "
+             "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)",
+             "ci-study", *args, "--replicates", "4"],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stderr.split() == ["0", "False"]
+
+    @pytest.mark.parametrize("sizes, shown", [("50.5", "50.5"), ("2000,0", "0")])
+    def test_bad_sample_size_is_a_usage_error(self, sizes, shown):
+        r = run_cli("ci-study", "--kind", "hooked", "--alpha-grid", "3", "--n-grid", sizes,
+                    "--replicates", "100")
+        assert r.returncode == 1
+        assert f"got {shown}" in r.stderr and r.stdout == ""
+
+
 class TestContourAndRidge:
     def test_contour_rows(self, tmp_path, capsys):
         path = write_counts(tmp_path, HookedPowerLawParams(3.0, 10.0), 300, seed=12)

@@ -4,18 +4,24 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 from scipy.stats import spearmanr
 
+import tracemalloc
+
 from citefit import fitting
 from citefit.dataset import CountDataset, truncate
 from citefit.errors import DegenerateDataError, ScanError, UsageError
 from citefit.fitting import (
     HOOKED_GRAD_TOL,
+    _GRID_B,
+    _GRID_VIEWS,
     _alpha_at,
     _lognormal_point,
     _LognormalStats,
     _offset,
     _offset_derivatives,
+    _profile_grids,
     _TailStats,
     fit_hooked,
+    fit_many,
     fit_lognormal,
     fit_power_law,
     ks_distance,
@@ -465,6 +471,99 @@ class TestFitHooked:
     def test_degenerate_data(self):
         with pytest.raises(DegenerateDataError):
             fit_hooked(truncate(CountDataset((3, 3, 3, 3)), 1))
+
+
+def batch_views():
+    """Views for a batch: hooked samples at x_min 1 and 3, with degenerate ones among them."""
+    views = []
+    for k, (params, n) in enumerate([(HookedPowerLawParams(3.0, 10.0), 500),
+                                     (HookedPowerLawParams(6.0, 10.0), 2000),
+                                     (HookedPowerLawParams(2.0, 0.0), 300),
+                                     (HookedPowerLawParams(10.0, 0.0), 25),
+                                     (HookedPowerLawParams(2.5, 100.0), 4000)]):
+        view = sample_view(params, n, seed=40 + k)
+        views.append(view)
+        if view.base.values[-1] >= 3:
+            views.append(truncate(view.base, 3))
+    views.insert(3, truncate(CountDataset((4, 4, 4, 9)), 5))  # one point: degenerate
+    views.insert(7, truncate(CountDataset((1, 2, 3, 3, 3)), 3))  # constant: degenerate
+    return views
+
+
+def fit_fields(fit):
+    return (fit.params, fit.neg_log_likelihood, fit.n_tail, fit.x_min, fit.converged,
+            fit.iterations, fit.gradient_norm_at_exit)
+
+
+class TestFitMany:
+    def test_each_fit_equals_the_fit_alone(self):
+        # the batch solves its views' profile grids together, in one array
+        # pass; each result is the same bit for bit as the view's own fit
+        views = batch_views()
+        fits = fit_many(views, "hooked")
+        assert len(fits) == len(views)
+        degenerate = 0
+        for view, fit in zip(views, fits):
+            try:
+                alone = fit_hooked(view)
+            except DegenerateDataError:
+                assert fit is None
+                degenerate += 1
+                continue
+            assert fit_fields(fit) == fit_fields(alone)
+        assert degenerate >= 3
+        assert any(v.x_min == 3 for v, f in zip(views, fits) if f is not None)
+
+    def test_a_batch_of_degenerate_views_only(self):
+        views = [truncate(CountDataset((4, 4, 4, 9)), 5), truncate(CountDataset((5, 5, 5)), 1)]
+        assert fit_many(iter(views), "hooked") == [None, None]
+
+    @pytest.mark.parametrize("kind", ["pl", "ln"])
+    def test_other_kinds_fit_view_by_view(self, kind):
+        views = batch_views()[:4]
+        fits = fit_many(views, kind)
+        for view, fit in zip(views, fits):
+            try:
+                alone = fitting.fit_kind(view, kind)
+            except DegenerateDataError:
+                assert fit is None
+                continue
+            assert fit_fields(fit) == fit_fields(alone)
+
+    def test_grid_matches_the_float_profile(self):
+        # the scalar solve at each grid offset, cold from the continuous MLE, is
+        # the reference: the array pass agrees to 1e-12 in the negative log-likelihood
+        views = [v for v in batch_views() if v.n_tail > 3 and len(v.values) > 1]
+        stats = [_TailStats(v) for v in views]
+        for st, grid in zip(stats, _profile_grids(stats)):
+            for b, nll, alpha, pinned in zip(_GRID_B.tolist(), grid.neg_log_likelihood,
+                                            grid.alpha, grid.pinned):
+                point = _alpha_at(st, b)
+                assert nll == pytest.approx(point.neg_log_likelihood, rel=1e-12, abs=0)
+                assert alpha == pytest.approx(point.alpha, rel=1e-9, abs=1e-9)
+                assert pinned == point.pinned
+
+    def test_memory_does_not_grow_with_the_views(self):
+        # the views are taken a pass of _GRID_VIEWS at a time, so four passes peak
+        # no higher than one, plus the results kept: a FitResult each, and slack
+        def small_views(count):
+            for k in range(count):
+                yield truncate(CountDataset((1, 1, 2, 3, 3, 5, 8, 13, 21 + k, 400)), 1)
+
+        def peak(count):
+            fit_many(small_views(1), "hooked")  # warm-up
+            tracemalloc.start()
+            try:
+                fits = fit_many(small_views(count), "hooked")
+                return tracemalloc.get_traced_memory()[1], len(fits)
+            finally:
+                tracemalloc.stop()
+
+        one, _ = peak(_GRID_VIEWS)
+        four, fitted = peak(4 * _GRID_VIEWS)
+        assert fitted == 4 * _GRID_VIEWS
+        kept = 3 * _GRID_VIEWS * 2_000  # bytes held by each further FitResult, at most
+        assert four <= one + kept + 64_000
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ from scipy.stats import pearsonr
 from citefit.errors import OutOfModelError, ParameterError, UsageError
 from citefit.fitting import neg_log_likelihood
 from citefit.kernels import DiscreteLognormalParams, HookedPowerLawParams
+from citefit import simulation
 from citefit.simulation import (
     AttachmentParams,
     attachment_count_pmf,
@@ -138,6 +139,16 @@ class TestCiWidthStudy:
         with pytest.raises(UsageError):
             ci_width_study("ln", [2.0], [100], replicates=5, seed=0)
 
+    @pytest.mark.parametrize("n_grid", [[100, 50.5], [2000, 0], [-3], [float("nan")]])
+    def test_sample_sizes_checked_before_any_cell_runs(self, monkeypatch, n_grid):
+        def no_fits(*args, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(simulation, "fit_many", no_fits)
+        bad = n_grid[-1]
+        with pytest.raises(UsageError, match=f"got {bad:g}"):
+            ci_width_study("hooked", [3.0], n_grid, replicates=100, seed=0)
+
     def test_serialization_rows(self):
         grid = ci_width_study("pl", [2.5], [300], replicates=10, seed=6)
         rows = grid.to_rows()
@@ -147,7 +158,28 @@ class TestCiWidthStudy:
         assert grid.to_json_dict()["replicates"] == 10
 
 
+class TestInterquantileWidth:
+    @given(st.lists(st.floats(-1e9, 1e9), min_size=2, max_size=60))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_numpy_percentile_bit_for_bit(self, values):
+        lo, hi = np.percentile(np.asarray(values, dtype=float), [5.0, 95.0])
+        assert simulation._interquantile_width(values) == float(hi - lo)
+
+    def test_equals_numpy_percentile_with_ties_and_scales(self):
+        rng = np.random.default_rng(11)
+        for n in range(2, 120):
+            for scale in (1e-6, 1.0, 1e8):
+                values = np.round(rng.standard_normal(n), 1) * scale
+                lo, hi = np.percentile(values, [5.0, 95.0])
+                assert simulation._interquantile_width(values.tolist()) == float(hi - lo)
+
+
 class TestLognormalCiStudy:
+    @pytest.mark.parametrize("n", [0, -5, 2.5])
+    def test_sample_size_checked(self, n):
+        with pytest.raises(UsageError, match=f"got {n:g}"):
+            lognormal_ci_study([1.0], [1.0], n, replicates=2, seed=0)
+
     def test_returns_two_grids_sharing_exclusions(self):
         mu_grid, sigma_grid = lognormal_ci_study(
             [1.5, 2.5], [0.7, 1.2], n=300, replicates=15, seed=7
