@@ -350,6 +350,28 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _Profi
                          alpha * data + stats.n * (math.log(z) - alpha * log_edge), grad_a)
 
 
+#: Evaluations an entry of :func:`_alpha_roots` takes in array passes. The
+#: entries that need more are few by then, too few to pay for a pass, each of
+#: whose numpy calls costs as much as some twenty float operations, so they go
+#: on one by one in floats. The switch depends on the entry's own count alone.
+_ARRAY_EVALUATIONS = 4
+
+
+class _OneByOne:
+    """Window sums at an array of offsets, taken offset by offset in floats."""
+
+    def __init__(self, offsets: np.ndarray):
+        self.sums = [PowerLawWindowSums(offset) for offset in offsets.tolist()]
+
+    def __call__(self, alpha: np.ndarray):
+        return np.array([sums(a) for sums, a in zip(self.sums, alpha.tolist())]).T
+
+    def take(self, index) -> "_OneByOne":
+        taken = object.__new__(_OneByOne)
+        taken.sums = [self.sums[i] for i in index]
+        return taken
+
+
 def _alpha_roots(offsets: np.ndarray, n: np.ndarray, target: np.ndarray,
                  start: np.ndarray):
     """:func:`_alpha_at`'s solve at many offsets ``b + x_min`` at once, each cold from its ``start``.
@@ -369,6 +391,8 @@ def _alpha_roots(offsets: np.ndarray, n: np.ndarray, target: np.ndarray,
     sums = PowerLawWindowSums(offsets)
     x = np.clip(start, _ALPHA_LO, ALPHA_MAX)
     for count in range(1, _ROOT_MAX_ITER + 1):
+        if count == _ARRAY_EVALUATIONS + 1:
+            sums = _OneByOne(sums.offset)
         s0, s1, s2 = sums(x)
         mean = s1 / s0
         value = n * (target - mean)

@@ -87,10 +87,10 @@ def _rising_polynomials() -> np.ndarray:
 
 _RISING = _rising_polynomials()
 #: ``1 / (n! (n + i + 1))``, the coefficients of ``z**n`` in ``_phi``'s power
-#: series, for n <= 25, padded with zeros to 32 terms: ``[i, n, 0]``.
+#: series, for n <= 25, padded with zeros to 32 terms: ``[n, i, 0]``.
 _SERIES_COEFFICIENTS = np.array(
-    [[1.0 / (math.factorial(n) * (n + i + 1)) if n <= 25 else 0.0 for n in range(32)]
-     for i in range(3)])[:, :, None]
+    [[1.0 / (math.factorial(n) * (n + i + 1)) if n <= 25 else 0.0 for i in range(3)]
+     for n in range(32)])[:, :, None]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -251,12 +251,12 @@ def _phi_series(z: np.ndarray) -> np.ndarray:
 
     ``phi_i`` is the sum of ``z**n / (n! (n + i + 1))`` over n; the terms
     past n = 25 are below 1e-17. The powers come as a running product and
-    each row's terms are added as a pairwise tree.
+    the terms are added as a pairwise tree.
     """
-    powers = np.empty((_SERIES_COEFFICIENTS.shape[1], len(z)))
+    powers = np.empty((len(_SERIES_COEFFICIENTS), 1, len(z)))
     powers[0] = 1.0
     np.multiply.accumulate(np.broadcast_to(z, powers[1:].shape), out=powers[1:])
-    return np.stack([_tree_sum(coefficients * powers) for coefficients in _SERIES_COEFFICIENTS])
+    return _tree_sum(_SERIES_COEFFICIENTS * powers)
 
 
 def _tree_sum(terms: np.ndarray) -> np.ndarray:
