@@ -17,7 +17,10 @@ The solvers use that and need nothing beyond numpy:
   :class:`~citefit.kernels.PowerLawWindowSums` in constant time, so no
   step sums the window term by term. The power law is that solve at
   ``B = 0``. The hooked fit profiles it over ``log(B + 1)``: a fixed
-  grid, then the root of the profile's slope. :func:`_offset_derivatives`
+  grid, then the root of the profile's slope. The grid is solved in one
+  array pass (:func:`_profile_grids`), every point cold from its
+  continuous MLE; :func:`fit_many` passes the grids of many views at once,
+  as a study cell's replicates. :func:`_offset_derivatives`
   gives that slope (the analytic ``d/dB`` of the objective) and the
   profile's exact curvature, only where the fit reads them. The profile
   follows the long diagonal valley, badly conditioned for gradient descent,
@@ -350,10 +353,10 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _Profi
                          alpha * data + stats.n * (math.log(z) - alpha * log_edge), grad_a)
 
 
-#: Evaluations an entry of :func:`_alpha_roots` takes in array passes. The
-#: entries that need more are few by then, too few to pay for a pass, each of
-#: whose numpy calls costs as much as some twenty float operations, so they go
-#: on one by one in floats. The switch depends on the entry's own count alone.
+#: Evaluations an entry of :func:`_alpha_roots` takes in array passes. The few
+#: entries that need more go on one by one in floats: a pass costs some hundred
+#: numpy calls, each as dear as twenty float operations, whatever its width.
+#: The switch turns on the entry's own count alone, not on its batch.
 _ARRAY_EVALUATIONS = 4
 
 
@@ -374,14 +377,15 @@ class _OneByOne:
 
 def _alpha_roots(offsets: np.ndarray, n: np.ndarray, target: np.ndarray,
                  start: np.ndarray):
-    """:func:`_alpha_at`'s solve at many offsets ``b + x_min`` at once, each cold from its ``start``.
+    """:func:`_alpha_at`'s solve at many offsets ``b + x_min`` at once, each from its ``start``.
 
     ``n``, ``target`` and ``start`` are the entries' sample sizes, score
-    targets and starts. Entry by entry this is :func:`_newton_root` on the score in
-    ``[_ALPHA_LO, ALPHA_MAX]``: each round evaluates the scores of the
-    entries still active in one array pass, then takes each entry's
-    :func:`_newton_step`. Returns each entry's last alpha evaluated, its
-    score and ``S_0`` there, and its number of evaluations.
+    targets and starts. Entry by entry this is :func:`_newton_root` on the
+    score in ``[_ALPHA_LO, ALPHA_MAX]``: each round evaluates the scores of
+    the entries still active, in one array pass for the first
+    ``_ARRAY_EVALUATIONS`` rounds and in floats after, then takes each
+    entry's :func:`_newton_step`. Returns each entry's last alpha
+    evaluated, its score and ``S_0`` there, and its number of evaluations.
     """
     size = len(start)
     found = np.empty((3, size))  # alpha, score, S_0
@@ -807,7 +811,7 @@ def fit_many(views: Iterable[TruncatedView], kind: str) -> list[FitResult | None
 
 
 def _fit_or_none(view: TruncatedView, fit):
-    """``fit(view)``, with ``fit`` a kind name or a function; ``None`` where the view is degenerate."""
+    """``fit(view)``, ``fit`` a kind name or a function; ``None`` for a degenerate view."""
     try:
         return fit_kind(view, fit) if isinstance(fit, str) else fit(view)
     except DegenerateDataError:

@@ -20,9 +20,10 @@ and the windowed pmf summing to one exactly); each parameter class gives
 its logarithm, ``log_normalizer(x_min)``. The lognormal sums the window
 term by term. The power-law families take it, with the two moments of
 ``log(B + x)`` that their fitter needs, from :class:`PowerLawWindowSums`:
-a 16-term head plus an Euler-Maclaurin tail, in scalar arithmetic and
-constant time. For reporting, :func:`normalization_constants` also gives
-a tail-corrected constant, which appends the midpoint integral of the
+a 16-term head plus an Euler-Maclaurin tail, in constant time, at one
+offset or at an array of them. For reporting,
+:func:`normalization_constants` also gives a tail-corrected constant,
+which appends the midpoint integral of the
 continuous kernel beyond the window whenever the tail decays slowly
 (``heavy_tailed``: ``alpha <= 2`` for the power laws, ``sigma > 2`` for
 the lognormal); for ``alpha = 2`` at ``x_min = 1`` it reproduces pi**2/6
@@ -63,8 +64,6 @@ _POINTS = np.array([*range(_HEAD_TERMS), _HEAD_TERMS, NORMALIZATION_TERMS - 1.0]
 #: ``_BERNOULLI`` by order and end, with the sign that the odd derivatives'
 #: ``-y**-m`` takes in the Euler-Maclaurin difference: + at ``a``, - at ``e``.
 _BERNOULLI_SIGNED = np.multiply.outer(_BERNOULLI, [1.0, -1.0])[..., None]
-
-
 
 
 def _rising_polynomials() -> np.ndarray:
@@ -240,7 +239,7 @@ def _phi(z):
 
 
 def _phi_closed(z, xp):
-    """:func:`_phi` by the recurrence, with ``xp`` (``math`` or numpy) for ``exp`` and ``expm1``."""
+    """:func:`_phi` by the recurrence, ``exp`` and ``expm1`` taken from ``xp`` (math or numpy)."""
     phi0 = xp.expm1(z) / z
     phi1 = (xp.exp(z) - phi0) / z
     return phi0, phi1, (xp.exp(z) - 2.0 * phi1) / z
@@ -260,10 +259,10 @@ def _phi_series(z: np.ndarray) -> np.ndarray:
 
 
 def _tree_sum(terms: np.ndarray) -> np.ndarray:
-    """The sum over the first axis, of length a power of two, as a pairwise tree; overwrites ``terms``.
+    """The sum over the first axis, of length a power of two, as a pairwise tree.
 
-    Every entry of the result takes the same additions in the same order,
-    whatever the other entries are.
+    Adds in place, into ``terms``. Every entry of the result takes the same
+    additions in the same order, whatever the other entries are.
     """
     size = len(terms)
     while size > 1:
@@ -367,8 +366,8 @@ class _ArrayWindowSums(PowerLawWindowSums):
     The same formulas, entry by entry, in few numpy calls: the weights at the
     head and both ends come as one array, the head is summed as a pairwise
     tree, and the rising factorials of the Bernoulli corrections come as
-    polynomials in alpha. No sum runs across entries, so an entry's sums do not depend on the
-    other entries of its array.
+    polynomials in alpha. No sum runs across entries, so an entry's sums do
+    not depend on the other entries of its array.
     """
 
     __slots__ = ()
@@ -386,10 +385,6 @@ class _ArrayWindowSums(PowerLawWindowSums):
         """Point the attributes at the rows of ``table``."""
         self._head, self._log_a, self._span, self.offset = (
             table, table[_HEAD_TERMS], table[-2], table[-1])
-
-    @property
-    def log_offset(self) -> np.ndarray:
-        return np.log(self.offset)
 
     def take(self, index) -> "_ArrayWindowSums":
         """The sums at the offsets ``offset[index]``."""
@@ -432,8 +427,8 @@ class _ArrayWindowSums(PowerLawWindowSums):
         sums += corrections[:, 0]
         sums += corrections[:, 1]
         del ends, corrections, d
-        # the integral, scale times those of (la + span t)**k exp(z t) over [0, 1]:
-        # phi_0, la phi_0 + span phi_1, and la (la phi_0 + span phi_1) + span (la phi_1 + span phi_2)
+        # the integral: scale times those of (la + span t)**k exp(z t) over [0, 1], that is
+        # phi_0, la phi_0 + span phi_1 and la (la phi_0 + span phi_1) + span (la phi_1 + span phi_2)
         s = 1.0 - alpha
         la, span = self._log_a, self._span
         phi = _phi(s * span)
