@@ -57,27 +57,31 @@ def _diag(message: str):
 
 
 def parse_axis(text: str) -> list[float]:
-    """Axis spec: comma list ("2,6,10") or inclusive range ("2:10:0.5")."""
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise UsageError(f"range spec must be start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0:
-            raise UsageError("range step must be positive")
-        values = []
-        k = 0
-        while True:
-            v = start + k * step
-            if v > stop + 1e-9:
-                break
-            values.append(round(v, 12))
-            k += 1
-        return values
+    """Axis spec: comma list ("2,6,10") or inclusive range ("2:10:0.5") of finite numbers."""
+    ranged = ":" in text
+    parts = text.split(":") if ranged else [p for p in text.split(",") if p.strip() != ""]
     try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
+        numbers = [float(p) for p in parts]
     except ValueError:
         raise UsageError(f"could not parse axis {text!r}") from None
+    if not all(math.isfinite(v) for v in numbers):
+        raise UsageError(f"axis {text!r} holds a value that is not finite")
+    if not ranged:
+        return numbers
+    if len(numbers) != 3:
+        raise UsageError(f"range spec must be start:stop:step, got {text!r}")
+    start, stop, step = numbers
+    if step <= 0:
+        raise UsageError(f"range step must be positive, got {text!r}")
+    values = []
+    k = 0
+    while True:
+        v = start + k * step
+        if v > stop + 1e-9:
+            break
+        values.append(round(v, 12))
+        k += 1
+    return values
 
 
 def _build_params(args) -> ParamSpec:

@@ -19,8 +19,9 @@ The solvers use that and need nothing beyond numpy:
   ``B = 0``. The hooked fit profiles it over ``log(B + 1)``: a fixed
   grid, then the root of the profile's slope. The grid is solved in one
   array pass (:func:`_profile_grids`), every point cold from its
-  continuous MLE; :func:`fit_many` passes the grids of many views at once,
-  as a study cell's replicates. :func:`_offset_derivatives`
+  continuous MLE, and every round of its alpha solve is an array pass;
+  :func:`fit_many` passes the grids of many views at once, as a study
+  cell's replicates. :func:`_offset_derivatives`
   gives that slope (the analytic ``d/dB`` of the objective) and the
   profile's exact curvature, only where the fit reads them. The profile
   follows the long diagonal valley, badly conditioned for gradient descent,
@@ -295,6 +296,7 @@ class _ProfilePoint(NamedTuple):
     iterations: int
     neg_log_likelihood: float
     score: float  # d/d alpha of the objective
+    sums: PowerLawWindowSums | None = None  # at b + x_min, where _alpha_at built them
 
 
 class _OffsetDerivatives(NamedTuple):
@@ -350,29 +352,7 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _Profi
     alpha, (grad_a, _, z), iterations = _newton_root(score, _ALPHA_LO, ALPHA_MAX, start)
     pinned = grad_a >= 0.0 and alpha == _ALPHA_LO or grad_a <= 0.0 and alpha == ALPHA_MAX
     return _ProfilePoint(alpha, b, pinned, iterations,
-                         alpha * data + stats.n * (math.log(z) - alpha * log_edge), grad_a)
-
-
-#: Evaluations an entry of :func:`_alpha_roots` takes in array passes. The few
-#: entries that need more go on one by one in floats: a pass costs some hundred
-#: numpy calls, each as dear as twenty float operations, whatever its width.
-#: The switch turns on the entry's own count alone, not on its batch.
-_ARRAY_EVALUATIONS = 4
-
-
-class _OneByOne:
-    """Window sums at an array of offsets, taken offset by offset in floats."""
-
-    def __init__(self, offsets: np.ndarray):
-        self.sums = [PowerLawWindowSums(offset) for offset in offsets.tolist()]
-
-    def __call__(self, alpha: np.ndarray):
-        return np.array([sums(a) for sums, a in zip(self.sums, alpha.tolist())]).T
-
-    def take(self, index) -> "_OneByOne":
-        taken = object.__new__(_OneByOne)
-        taken.sums = [self.sums[i] for i in index]
-        return taken
+                         alpha * data + stats.n * (math.log(z) - alpha * log_edge), grad_a, sums)
 
 
 def _alpha_roots(offsets: np.ndarray, n: np.ndarray, target: np.ndarray,
@@ -382,9 +362,8 @@ def _alpha_roots(offsets: np.ndarray, n: np.ndarray, target: np.ndarray,
     ``n``, ``target`` and ``start`` are the entries' sample sizes, score
     targets and starts. Entry by entry this is :func:`_newton_root` on the
     score in ``[_ALPHA_LO, ALPHA_MAX]``: each round evaluates the scores of
-    the entries still active, in one array pass for the first
-    ``_ARRAY_EVALUATIONS`` rounds and in floats after, then takes each
-    entry's :func:`_newton_step`. Returns each entry's last alpha
+    the entries still active in one array pass, then takes each entry's
+    :func:`_newton_step`. Returns each entry's last alpha
     evaluated, its score and ``S_0`` there, and its number of evaluations.
     """
     size = len(start)
@@ -395,8 +374,6 @@ def _alpha_roots(offsets: np.ndarray, n: np.ndarray, target: np.ndarray,
     sums = PowerLawWindowSums(offsets)
     x = np.clip(start, _ALPHA_LO, ALPHA_MAX)
     for count in range(1, _ROOT_MAX_ITER + 1):
-        if count == _ARRAY_EVALUATIONS + 1:
-            sums = _OneByOne(sums.offset)
         s0, s1, s2 = sums(x)
         mean = s1 / s0
         value = n * (target - mean)
@@ -414,15 +391,16 @@ def _alpha_roots(offsets: np.ndarray, n: np.ndarray, target: np.ndarray,
         keep = np.flatnonzero(~done)
         x = np.array([steps[i] for i in keep])
         brackets = np.array([rows[i] for i in keep])
-        active, sums, n, target = active[keep], sums.take(keep), n[keep], target[keep]
         del s0, value, derivative, rows, steps
+        active, sums, n, target = active[keep], sums.take(keep), n[keep], target[keep]
     return (*found, evaluations)
 
 
 def _offset_derivatives(stats: _TailStats, point: _ProfilePoint) -> _OffsetDerivatives:
     """The offset derivatives of the objective ``f`` at a profile point of :func:`_alpha_at`.
 
-    With the window sums ``S_k`` of :func:`_alpha_at` and ``y0 = b + x_min``,
+    With the window sums ``S_k`` of :func:`_alpha_at` (the point's own, where
+    it carries them) and ``y0 = b + x_min``,
     ``E_p[1 / (b + x)] = S_0(alpha + 1) / (y0 S_0)``,
     ``E_p[l / (b + x)] = S_1(alpha + 1) / (y0 S_0)`` and
     ``E_p[(b + x)**-2] = S_0(alpha + 2) / (y0**2 S_0)``, so
@@ -441,7 +419,7 @@ def _offset_derivatives(stats: _TailStats, point: _ProfilePoint) -> _OffsetDeriv
     ``_SLOPE_ROUNDING`` of that size, its rounding level.
     """
     alpha, b, n = point.alpha, point.b, stats.n
-    sums = PowerLawWindowSums(b + stats.x_min)
+    sums = point.sums or PowerLawWindowSums(b + stats.x_min)
     z, s1, s2 = sums(alpha)
     inverse = 1.0 / (b + stats.values)
     data_inverse = float(stats.counts @ inverse)

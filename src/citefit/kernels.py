@@ -20,8 +20,8 @@ and the windowed pmf summing to one exactly); each parameter class gives
 its logarithm, ``log_normalizer(x_min)``. The lognormal sums the window
 term by term. The power-law families take it, with the two moments of
 ``log(B + x)`` that their fitter needs, from :class:`PowerLawWindowSums`:
-a 16-term head plus an Euler-Maclaurin tail, in constant time, at one
-offset or at an array of them. For reporting,
+a 16-term head plus an Euler-Maclaurin tail, in constant time, by one
+code at one offset or at an array of them. For reporting,
 :func:`normalization_constants` also gives a tail-corrected constant,
 which appends the midpoint integral of the
 continuous kernel beyond the window whenever the tail decays slowly
@@ -53,38 +53,11 @@ from .errors import NonNormalizableError, ParameterError, SupportError
 
 #: Number of terms summed for the normalization constant.
 NORMALIZATION_TERMS = 10_000
-#: Leading window terms that ``PowerLawWindowSums`` adds one by one.
+#: Leading window terms that ``PowerLawWindowSums`` adds term by term.
 _HEAD_TERMS = 16
 #: ``B_2m / (2m)!`` for m = 1..4, the Euler-Maclaurin coefficients of the
 #: derivatives of odd order 1, 3, 5 and 7.
 _BERNOULLI = (1.0 / 12.0, -1.0 / 720.0, 1.0 / 30240.0, -1.0 / 1209600.0)
-#: The window points ``j`` at which an array of offsets takes its weights:
-#: the head, then the ends ``a = y0 + 16`` and ``e = y0 + 9999`` of the tail.
-_POINTS = np.array([*range(_HEAD_TERMS), _HEAD_TERMS, NORMALIZATION_TERMS - 1.0])[:, None]
-#: ``_BERNOULLI`` by order and end, with the sign that the odd derivatives'
-#: ``-y**-m`` takes in the Euler-Maclaurin difference: + at ``a``, - at ``e``.
-_BERNOULLI_SIGNED = np.multiply.outer(_BERNOULLI, [1.0, -1.0])[..., None]
-
-
-def _rising_polynomials() -> np.ndarray:
-    """The rising factorials ``(alpha)_m`` at m = 1, 3, 5, 7 as polynomials in alpha.
-
-    Indexed ``[degree, order, derivative, 0]``, with the first two
-    alpha-derivatives; every coefficient is a small integer.
-    """
-    out = np.zeros((8, 4, 3, 1))
-    poly = np.array([1.0])  # ascending coefficients of (alpha)_0 = 1
-    for i in range(7):
-        poly = np.convolve(poly, [float(i), 1.0])  # times (alpha + i)
-        if i % 2 == 0:
-            d1 = poly[1:] * np.arange(1, len(poly))
-            d2 = d1[1:] * np.arange(1, len(d1))
-            for k, coeffs in enumerate((poly, d1, d2)):
-                out[:len(coeffs), i // 2, k, 0] = coeffs
-    return out
-
-
-_RISING = _rising_polynomials()
 #: ``1 / (n! (n + i + 1))``, the coefficients of ``z**n`` in ``_phi``'s power
 #: series, for n <= 25, padded with zeros to 32 terms: ``[n, i, 0]``.
 _SERIES_COEFFICIENTS = np.array(
@@ -240,9 +213,9 @@ def _phi(z):
 
 def _phi_closed(z, xp):
     """:func:`_phi` by the recurrence, ``exp`` and ``expm1`` taken from ``xp`` (math or numpy)."""
-    phi0 = xp.expm1(z) / z
-    phi1 = (xp.exp(z) - phi0) / z
-    return phi0, phi1, (xp.exp(z) - 2.0 * phi1) / z
+    phi0, exp = xp.expm1(z) / z, xp.exp(z)
+    phi1 = (exp - phi0) / z
+    return phi0, phi1, (exp - 2.0 * phi1) / z
 
 
 def _phi_series(z: np.ndarray) -> np.ndarray:
@@ -281,7 +254,7 @@ class PowerLawWindowSums:
     ``E_p[log(B + x)] = ln y0 + S_1 / S_0`` and
     ``Var_p[log(B + x)] = S_2 / S_0 - (S_1 / S_0)**2``.
 
-    The first 16 terms are summed one by one. The rest, on
+    The first 16 terms are summed term by term. The rest, on
     ``[a, e] = [y0 + 16, y0 + 9999]``, is Euler-Maclaurin: the integral,
     which in ``u = log(y / y0)`` is ``y0`` times that of
     ``exp((1 - alpha) u) u**k`` (:func:`_phi`), the two endpoint
@@ -295,149 +268,102 @@ class PowerLawWindowSums:
 
     The head and the endpoints depend on ``y0`` alone and are computed once.
 
-    ``offset`` may also be a 1-D array of offsets, and ``alpha`` then an
-    array of the same shape: each sum comes back as an array, computed by
-    :class:`_ArrayWindowSums`. Float arithmetic serves a single offset,
-    for which a numpy call would cost as much as some twenty float
-    operations.
+    ``offset`` is a float, or a 1-D array of offsets with ``alpha`` an
+    array of the same shape, and the sums come back as the same kind. One
+    code serves both, with ``math`` or ``numpy`` picked from the offset's
+    type; only the head has two forms: floats add it in a loop, and an
+    array sums each entry's head as a pairwise tree (:func:`_tree_sum`).
+    No sum runs across entries, so an entry's sums do not depend on the
+    other entries of its array.
     """
 
-    __slots__ = ("offset", "log_offset", "_head", "_ends", "_log_a", "_span")
+    __slots__ = ("offset", "log_offset", "_xp", "_head", "_ends", "_span")
 
-    def __new__(cls, offset):
-        return object.__new__(_ArrayWindowSums if isinstance(offset, np.ndarray) else cls)
-
-    def __init__(self, offset: float):
-        self.offset = offset
-        self.log_offset = math.log(offset)
-        self._head = [math.log1p(j / offset) for j in range(1, _HEAD_TERMS)]
+    def __init__(self, offset: float | np.ndarray):
+        xp = np if isinstance(offset, np.ndarray) else math
+        self._xp, self.offset, self.log_offset = xp, offset, xp.log(offset)
+        # at the ends a = y0 + 16 and e = y0 + 9999 of the tail: l, 1 / y with the
+        # sign that the odd derivatives' -y**-m take in the Euler-Maclaurin
+        # difference (+ at a, - at e), and 1 / y**2
         last = NORMALIZATION_TERMS - 1
-        a = offset + _HEAD_TERMS
-        self._log_a = math.log1p(_HEAD_TERMS / offset)
-        self._span = math.log1p((last - _HEAD_TERMS) / a)  # log(e / a)
-        # (sign in the Euler-Maclaurin difference, 1 / y, l) at a and at e
-        self._ends = ((-1.0, 1.0 / a, self._log_a),
-                      (1.0, 1.0 / (offset + last), math.log1p(last / offset)))
+        a, e = offset + _HEAD_TERMS, offset + last
+        self._ends = [(xp.log1p(_HEAD_TERMS / offset), 1.0 / a, 1.0 / (a * a)),
+                      (xp.log1p(last / offset), -1.0 / e, 1.0 / (e * e))]
+        self._span = xp.log1p((last - _HEAD_TERMS) / a)  # log(e / a)
+        if xp is np:
+            self._ends = np.array(self._ends)
+            self._head = np.log1p(np.arange(_HEAD_TERMS)[:, None] / offset)
+        else:
+            self._head = [math.log1p(j / offset) for j in range(1, _HEAD_TERMS)]
 
-    def __call__(self, alpha: float) -> tuple[float, float, float]:
-        s0, s1, s2 = 1.0, 0.0, 0.0  # the j = 0 term: w = 1, l = 0
-        for ell in self._head:
-            w = math.exp(-alpha * ell)
-            s0 += w
-            w *= ell
-            s1 += w
-            s2 += w * ell
+    def take(self, index) -> "PowerLawWindowSums":
+        """The sums at the offsets ``offset[index]``, of an array of offsets."""
+        taken = object.__new__(PowerLawWindowSums)
+        taken._xp = np
+        for name in ("offset", "log_offset", "_head", "_ends", "_span"):
+            setattr(taken, name, getattr(self, name)[..., index])
+        return taken
+
+    def _head_sums(self, alpha):
+        """The sums of ``w l**k`` over the window's first 16 terms."""
+        if self._xp is math:
+            s0, s1, s2 = 1.0, 0.0, 0.0  # the j = 0 term: w = 1, l = 0
+            for ell in self._head:
+                w = math.exp(-alpha * ell)
+                s0 += w
+                w *= ell
+                s1 += w
+                s2 += w * ell
+            return s0, s1, s2
+        # one row per term, j = 0 included. Each sum is copied out of its table,
+        # and w l**2 takes the place of w, so at most two tables are held.
+        ell = self._head
+        w = np.multiply(ell, -alpha)
+        np.exp(w, out=w)
+        wl = w * ell
+        s0 = _tree_sum(w).copy()
+        np.multiply(wl, ell, out=w)
+        return s0, _tree_sum(wl).copy(), _tree_sum(w).copy()
+
+    def __call__(self, alpha):
+        xp = self._xp
+        s0, s1, s2 = self._head_sums(alpha)
 
         s = 1.0 - alpha
-        la, span = self._log_a, self._span
+        la, span = self._ends[0][0], self._span
         phi0, phi1, phi2 = _phi(s * span)
-        scale = self.offset * math.exp(s * la) * span
+        scale = self.offset * xp.exp(s * la) * span
         s0 += scale * phi0
         s1 += scale * (la * phi0 + span * phi1)
         s2 += scale * (la * la * phi0 + span * (2.0 * la * phi1 + span * phi2))
 
-        # rising factorials (alpha)_m, with two alpha-derivatives, at m = 1, 3, 5, 7
-        p, dp, ddp = 1.0, 0.0, 0.0
+        # rising factorials (alpha)_m at m = 3, 5, 7, with two alpha-derivatives,
+        # from (alpha)_1 = alpha, whose derivatives are 1 and 0
+        p, dp, ddp = alpha, 1.0, 0.0
         rising = []
-        for i in range(7):
+        for i in range(1, 7):
             factor = alpha + i
             p, dp, ddp = p * factor, dp * factor + p, ddp * factor + 2.0 * dp
             if i % 2 == 0:
                 rising.append((p, dp, ddp))
-        for sign, inv, ell in self._ends:
-            w = math.exp(-alpha * ell)
-            s0 += 0.5 * w
-            s1 += 0.5 * w * ell
-            s2 += 0.5 * w * ell * ell
-            # odd m: the derivative carries -y**-m
-            f, inv2 = -sign * w * inv, inv * inv
-            for c, (p, dp, ddp) in zip(_BERNOULLI, rising):
+        for ell, f, inv2 in self._ends:
+            # D = 1/2 + the Bernoulli corrections over w, with D' and D''
+            g = _BERNOULLI[0] * f
+            d0, d1, d2 = 0.5 + g * alpha, g, 0.0
+            for c, (p, dp, ddp) in zip(_BERNOULLI[1:], rising):
+                f = f * inv2
                 g = c * f
-                s0 += g * p
-                s1 += g * (p * ell - dp)
-                s2 += g * (p * ell * ell - 2.0 * dp * ell + ddp)
-                f *= inv2
+                d0 += g * p
+                d1 += g * dp
+                d2 += g * ddp
+            # w l**k D - k w l**(k - 1) D' + k (k - 1) / 2 w l**(k - 2) D''
+            w = xp.exp(-alpha * ell)
+            wd0, wd1 = w * d0, w * d1
+            s0 += wd0
+            wd0 = wd0 * ell - wd1  # w (l D - D'), the k = 1 term
+            s1 += wd0
+            s2 += (wd0 - wd1) * ell + w * d2
         return s0, s1, s2
-
-
-class _ArrayWindowSums(PowerLawWindowSums):
-    """:class:`PowerLawWindowSums` at an array of offsets, computed on stacks of terms.
-
-    The same formulas, entry by entry, in few numpy calls: the weights at the
-    head and both ends come as one array, the head is summed as a pairwise
-    tree, and the rising factorials of the Bernoulli corrections come as
-    polynomials in alpha. No sum runs across entries, so an entry's sums do
-    not depend on the other entries of its array.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, offset: np.ndarray):
-        # one row per quantity: l at the head and at a and e, log(e / a), the offset
-        last = NORMALIZATION_TERMS - 1
-        table = np.empty((len(_POINTS) + 2, len(offset)))
-        np.log1p(_POINTS / offset, out=table[:len(_POINTS)])
-        np.log1p((last - _HEAD_TERMS) / (offset + _HEAD_TERMS), out=table[-2])
-        table[-1] = offset
-        self._view(table)
-
-    def _view(self, table: np.ndarray):
-        """Point the attributes at the rows of ``table``."""
-        self._head, self._log_a, self._span, self.offset = (
-            table, table[_HEAD_TERMS], table[-2], table[-1])
-
-    def take(self, index) -> "_ArrayWindowSums":
-        """The sums at the offsets ``offset[index]``."""
-        sums = object.__new__(_ArrayWindowSums)
-        sums._view(self._head.take(index, axis=1))
-        return sums
-
-    def __call__(self, alpha: np.ndarray):
-        # D + 1/2, D' and D'' at a and at e, [derivative, end]: the rising factorials
-        # [order, derivative], by Horner, against the weights c_m y**-m at each end
-        rising = _RISING[-1] * alpha
-        for coefficients in _RISING[-2:0:-1]:
-            rising += coefficients
-            rising *= alpha
-        rising += _RISING[0]
-        weight = 1.0 / (self.offset + _POINTS[_HEAD_TERMS:])  # 1 / y at a and e
-        square = weight * weight
-        d = np.zeros((3,) + weight.shape)
-        d[0] += 0.5
-        for c, order in zip(_BERNOULLI_SIGNED, rising):
-            d += order[:, None] * (c * weight)
-            weight *= square
-        del rising, order, square, weight
-        # the head's sums of w l**k, k = 0, 1, 2, each as a pairwise tree, and w l**k
-        # at the ends. numpy takes a buffer for a broadcast operand, so no broadcast
-        # is made while the weights are held.
-        ell = self._head[:len(_POINTS)]
-        w = np.multiply(ell, -alpha)
-        np.exp(w, out=w)
-        wl = w * ell
-        s0 = _tree_sum(w[:_HEAD_TERMS]).copy()
-        np.multiply(wl[:_HEAD_TERMS], ell[:_HEAD_TERMS], out=w[:_HEAD_TERMS])  # w l**2
-        sums = np.stack((s0, _tree_sum(wl[:_HEAD_TERMS]), _tree_sum(w[:_HEAD_TERMS])))
-        ends = np.stack((w[_HEAD_TERMS:], wl[_HEAD_TERMS:], wl[_HEAD_TERMS:] * ell[_HEAD_TERMS:]))
-        del w, wl, s0
-        # at each end, w l**k (D + 1/2) - k w l**(k - 1) D' + k (k - 1) / 2 w l**(k - 2) D''
-        corrections = ends * d[0]
-        corrections[1] -= ends[0] * d[1]
-        corrections[2] -= 2.0 * ends[1] * d[1] - ends[0] * d[2]
-        sums += corrections[:, 0]
-        sums += corrections[:, 1]
-        del ends, corrections, d
-        # the integral: scale times those of (la + span t)**k exp(z t) over [0, 1], that is
-        # phi_0, la phi_0 + span phi_1 and la (la phi_0 + span phi_1) + span (la phi_1 + span phi_2)
-        s = 1.0 - alpha
-        la, span = self._log_a, self._span
-        phi = _phi(s * span)
-        mixed = la * phi[:2] + span * phi[1:]
-        phi[1] = mixed[0]
-        phi[2] = la * mixed[0] + span * mixed[1]
-        phi *= self.offset * np.exp(s * la) * span
-        sums += phi
-        return tuple(sums)
 
 
 def unnormalized_weight(params: ParamSpec, x):
@@ -565,7 +491,8 @@ class DiscreteDistribution:
 
         A uniform draw past the window's cumulative mass, which rounding
         can leave short of one, takes the window's last point. Output is
-        a fixed function of ``seed``.
+        a fixed function of ``seed``. The draws are ``int64``, so the
+        window's last point, ``x_min + 9999``, may be at most ``2**63 - 1``.
 
         Parameters
         ----------
@@ -576,6 +503,10 @@ class DiscreteDistribution:
         """
         if n < 1:
             raise ParameterError(f"sample size must be >= 1, got {n}")
+        if self.x_min > np.iinfo(np.int64).max - (NORMALIZATION_TERMS - 1):
+            raise ParameterError(
+                f"x_min must be at most 2**63 - {NORMALIZATION_TERMS} for int64 draws, "
+                f"got {self.x_min}")
         cum = self._window_cum
         idx = np.searchsorted(cum, np.random.default_rng(seed).random(n), side="left")
         np.minimum(idx, len(cum) - 1, out=idx)

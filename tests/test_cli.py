@@ -54,10 +54,13 @@ class TestParseAxis:
         assert parse_axis("2:4:0.5") == [2.0, 2.5, 3.0, 3.5, 4.0]
 
     def test_bad_spec(self):
-        with pytest.raises(UsageError):
-            parse_axis("a,b")
-        with pytest.raises(UsageError):
-            parse_axis("1:2:0")
+        # each error names its spec; a range with an end that is not finite
+        # would otherwise never end
+        for spec in ("a,b", "1:2:0", "a:b:c", "1:2", "1,nan", "1,inf", "1:inf:1",
+                     "nan:3:1", "1:3:nan", "-inf:1:1"):
+            with pytest.raises(UsageError) as raised:
+                parse_axis(spec)
+            assert repr(spec) in str(raised.value)
 
 
 class TestSlopeThreshold:
@@ -115,6 +118,20 @@ class TestSample:
                                        "--format", fmt)
             assert code == 0
             assert out == text
+
+    def test_window_up_to_the_largest_int64(self, capsys):
+        # the window's last point, x_min + 9999, is drawn as an int64: at most 2**63 - 1
+        top = 2**63 - 1 - 9999
+        code, out, err = main_output(capsys, "sample", "--dist", "pl", "--alpha", "1.01",
+                                     "-n", "100000", "--x-min", str(top), "--seed", "2")
+        assert code == 0, err
+        values = json.loads(out)
+        assert min(values) >= top and max(values) == 2**63 - 1
+        for x_min in (top + 1, 2**63 - 8, 10**20):
+            code, out, err = main_output(capsys, "sample", "--dist", "pl", "--alpha", "1.01",
+                                         "-n", "5", "--x-min", str(x_min))
+            assert code == 1 and out == ""
+            assert "x_min" in err
 
     @pytest.mark.parametrize("n", [1, 7, 65_535, 65_536, 65_537])
     def test_integer_column_at_the_digit_edges(self, n):
@@ -204,6 +221,14 @@ class TestScanCommand:
         payload = json.loads(out)
         assert payload["best_x_min"] in (1, 2, 3, 4)
         assert sum(e["best"] for e in payload["entries"]) == 1
+
+    @pytest.mark.parametrize("spec", ["a:b:c", "1,nan", "1,inf", "1:inf:1", "nan:3:1"])
+    def test_bad_range_is_a_usage_error(self, tmp_path, capsys, spec):
+        path = write_counts(tmp_path, PowerLawParams(2.5), 100, seed=4)
+        code, out, err = main_output(capsys, "scan", "--input", path, "--dist", "pl",
+                                     "--x-min-range", spec)
+        assert code == 1 and out == ""
+        assert repr(spec) in err
 
     def test_largest_int64_count_is_scored(self, tmp_path, capsys):
         # 2**63 - 1 is a valid count; the KS score must not wrap it past int64

@@ -431,15 +431,30 @@ class TestFitHooked:
         # the best grid point, the neighbour its slope points to and each
         # root-phase point; none of the other grid points
         view = sample_view(HookedPowerLawParams(alpha, b), 500, seed)
-        calls = []
+        calls, built = [], []
 
         def counted(stats, point):
             calls.append(point.b)
             return _offset_derivatives(stats, point)
 
+        def window_sums(offset):
+            built.append(offset)
+            return PowerLawWindowSums(offset)
+
         monkeypatch.setattr(fitting, "_offset_derivatives", counted)
+        monkeypatch.setattr(fitting, "PowerLawWindowSums", window_sums)
         fit = fit_hooked(view)
-        assert 1 <= len(calls) <= 2 + (fit.iterations - 40)
+        root_phase = fit.iterations - 40
+        assert root_phase >= 1
+        assert 1 <= len(calls) <= 2 + root_phase
+        # the window sums: one array for the grid, and one offset per point whose
+        # slope is read; a root-phase point's derivatives reuse the sums its
+        # alpha was solved with
+        floats = [offset for offset in built if not isinstance(offset, np.ndarray)]
+        for b in calls[-root_phase:]:
+            assert floats.count(b + view.x_min) == 1
+        assert len(floats) == len(calls)
+        assert len(built) - len(floats) == 1
 
     def test_global_basin_on_a_two_regime_mixture(self):
         # hooked(3, 0) under hooked(9, 3000): the profile over t = log(B + 1)
@@ -542,6 +557,23 @@ class TestFitMany:
                 assert nll == pytest.approx(point.neg_log_likelihood, rel=1e-12, abs=0)
                 assert alpha == pytest.approx(point.alpha, rel=1e-9, abs=1e-9)
                 assert pinned == point.pinned
+
+    def test_grid_takes_no_float_evaluation(self, monkeypatch):
+        # every round of the grid's alpha solve is one array pass, also for the
+        # entries past four score evaluations, as grid points near B = -0.7 at
+        # x_min = 1 are
+        views = [v for v in batch_views() if v.n_tail > 3 and len(v.values) > 1]
+        calls = []
+        window_sums = PowerLawWindowSums.__call__
+
+        def counted(sums, alpha):
+            calls.append(alpha)
+            return window_sums(sums, alpha)
+
+        monkeypatch.setattr(PowerLawWindowSums, "__call__", counted)
+        grids = _profile_grids([_TailStats(v) for v in views])
+        assert max(int(grid.iterations.max()) for grid in grids) > 4
+        assert calls and all(isinstance(alpha, np.ndarray) for alpha in calls)
 
     def test_memory_does_not_grow_with_the_views(self):
         # the views are taken a pass of _GRID_VIEWS at a time, so four passes peak

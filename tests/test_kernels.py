@@ -149,7 +149,9 @@ class TestPowerLawWindowSums:
         offsets = np.array(self.OFFSETS)
         rng = np.random.default_rng(7)
         alphas = rng.uniform(1.0 + 1e-9, 21.0, len(offsets))
-        together = np.array(PowerLawWindowSums(offsets)(alphas))
+        sums = PowerLawWindowSums(offsets)
+        together = np.array(sums(alphas))
+        assert np.array_equal(np.array(sums(alphas)), together)  # a call changes no state
         for k, (y0, alpha) in enumerate(zip(offsets.tolist(), alphas.tolist())):
             alone = np.array(PowerLawWindowSums(offsets[k:k + 1])(alphas[k:k + 1]))[:, 0]
             assert np.array_equal(alone, together[:, k])
