@@ -45,6 +45,8 @@ FULL_REPLICATES = 500
 DESK_REPLICATES = 100
 DEFAULT_ALPHA_GRID = "2,3,4,5,6,7,8,9,10"
 DEFAULT_N_GRID = "500,1000,2000,4000"
+#: Most points an axis range may hold; a range is counted before it is built.
+MAX_AXIS_POINTS = 100_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,6 +75,9 @@ def parse_axis(text: str) -> list[float]:
     start, stop, step = numbers
     if step <= 0:
         raise UsageError(f"range step must be positive, got {text!r}")
+    # the point past the limit, k = MAX_AXIS_POINTS, by the loop's own test
+    if start + MAX_AXIS_POINTS * step <= stop + 1e-9:
+        raise UsageError(f"range {text!r} holds more than {MAX_AXIS_POINTS:,} points")
     values = []
     k = 0
     while True:

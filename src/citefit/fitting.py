@@ -7,8 +7,10 @@ in the family's natural parameters, and its Hessian there is exact:
 ``n`` times a covariance under the window's normalized weights ``p``.
 The solvers use that and need nothing beyond numpy:
 
-* power law and hooked power law: one root-finder for every 1-D solve,
-  :func:`_newton_root`, safeguarded Newton inside a bracket. The hooked
+* power law and hooked power law: one driver runs every 1-D root, scalar
+  or batched, :func:`_newton_roots`: safeguarded Newton inside a bracket,
+  any number of roots at once, each round one evaluation of all the
+  entries still searching and one :func:`_newton_step` each. The hooked
   weight ``(B + x)**-alpha`` is the power law shifted by ``B``. For any
   fixed ``B``, ``alpha`` is the natural parameter of ``log(B + x)``, so
   the score in ``alpha`` is increasing, with derivative
@@ -17,11 +19,11 @@ The solvers use that and need nothing beyond numpy:
   :class:`~citefit.kernels.PowerLawWindowSums` in constant time, so no
   step sums the window term by term. The power law is that solve at
   ``B = 0``. The hooked fit profiles it over ``log(B + 1)``: a fixed
-  grid, then the root of the profile's slope. The grid is solved in one
-  array pass (:func:`_profile_grids`), every point cold from its
-  continuous MLE, and every round of its alpha solve is an array pass;
+  grid, then the root of the profile's slope. The grid's alpha roots are
+  one batch of the driver (:func:`_profile_grids`), every point cold from
+  its continuous MLE and every round one array evaluation;
   :func:`fit_many` passes the grids of many views at once, as a study
-  cell's replicates. :func:`_offset_derivatives`
+  cell's replicates or a scan's candidates. :func:`_offset_derivatives`
   gives that slope (the analytic ``d/dB`` of the objective) and the
   profile's exact curvature, only where the fit reads them. The profile
   follows the long diagonal valley, badly conditioned for gradient descent,
@@ -43,6 +45,7 @@ Everything here is a pure function of its inputs; concurrent use is safe.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -84,7 +87,7 @@ LOGNORMAL_MAX_ITER = 200
 
 _ALPHA_LO = ALPHA_MIN + 1e-9
 _B_LO = B_MIN + 1e-9
-#: Root tolerance of :func:`_newton_root`: absolute plus relative to the root.
+#: Root tolerance of :func:`_newton_roots`: absolute plus relative to the root.
 _ROOT_XTOL = 1e-14
 _ROOT_RTOL = 4.0 * sys.float_info.epsilon
 _ROOT_MAX_ITER = 100
@@ -200,37 +203,41 @@ def _projected_gradient_norm(theta, grad, bounds) -> float:
                         for x, g, (lo, hi) in zip(theta, grad, bounds)))
 
 
-def _newton_root(fn, lo: float, hi: float, start: float, bracketed: bool = False):
-    """Root in ``[lo, hi]`` of a value that rises through zero there, by safeguarded Newton.
+def _newton_roots(evaluate, starts: list, lo: float, hi: float, bracketed: bool = False) -> list:
+    """Roots in ``[lo, hi]`` of values that rise through zero there, by safeguarded Newton.
 
-    ``fn(x)`` returns ``(value, derivative, ...)``. Newton's steps start
-    from ``start`` and keep a bracket of the root (:func:`_newton_step`).
-    ``bracketed`` says the value is already known to be negative at ``lo``
-    and positive at ``hi``, so neither end is tried. Stops at a zero value,
-    at an end that holds the root, or once a step is below
+    One root per entry of ``starts``, each from its start with its own
+    bracket (:func:`_newton_step`). Each round calls ``evaluate(active, x)``
+    once with the indices, in increasing order, and points of the entries
+    still searching; it returns a ``(value, derivative, ...)`` tuple for each.
+    ``bracketed`` says every value is known to be negative at ``lo`` and
+    positive at ``hi``, so no end is tried. An entry stops at a zero value,
+    at an end that holds its root, once a step is below
     ``_ROOT_XTOL + _ROOT_RTOL * |x|``, or after ``_ROOT_MAX_ITER``
-    evaluations. Returns the last ``x`` evaluated, ``fn(x)`` there and the
-    number of evaluations.
+    evaluations. Returns per entry the last ``x`` evaluated, the tuple there
+    and the number of evaluations: what the entry alone would give.
     """
-    bracket = _bracket(lo, hi, bracketed)
-    x = min(max(start, lo), hi)
-    for evaluations in range(1, _ROOT_MAX_ITER + 1):
-        result = fn(x)
-        new = _newton_step(bracket, x, *result[:2])
-        if new is None or evaluations == _ROOT_MAX_ITER:
-            break
-        x = new
-    return x, result, evaluations
-
-
-def _bracket(lo: float, hi: float, bracketed: bool = False) -> list:
-    """The state :func:`_newton_step` keeps: the box ends, the bracket, whether each
-    bracket end carries an evaluated value, and the last step."""
-    return [lo, hi, lo, hi, bracketed, bracketed, hi - lo]
+    # per entry searching: its index, point and _newton_step's state (the box ends, the
+    # bracket, whether each bracket end carries an evaluated value, and the last step)
+    searching = [(i, min(max(start, lo), hi), [lo, hi, lo, hi, bracketed, bracketed, hi - lo])
+                 for i, start in enumerate(starts)]
+    roots = [None] * len(starts)
+    count = 0
+    while searching:
+        count += 1
+        active, x, brackets = zip(*searching)
+        searching = []
+        for i, xi, bracket, result in zip(active, x, brackets, evaluate(active, x)):
+            new = _newton_step(bracket, xi, *result[:2])
+            if new is None or count == _ROOT_MAX_ITER:
+                roots[i] = xi, result, count
+            else:
+                searching.append((i, new, bracket))
+    return roots
 
 
 def _newton_step(bracket: list, x: float, value: float, derivative: float):
-    """The next point of :func:`_newton_root` after the value and derivative at ``x``, or ``None``.
+    """A search's next point after the value and derivative at ``x``, or ``None``.
 
     ``None`` means ``x`` is the root: the value there is zero, or it points
     out of the box at an end (``>= 0`` at the lower, ``<= 0`` at the
@@ -296,7 +303,8 @@ class _ProfilePoint(NamedTuple):
     iterations: int
     neg_log_likelihood: float
     score: float  # d/d alpha of the objective
-    sums: PowerLawWindowSums | None = None  # at b + x_min, where _alpha_at built them
+    sums: PowerLawWindowSums | None  # at b + x_min, where _alpha_at built them (else None)
+    window: tuple[float, float, float] | None  # and S_0, S_1, S_2 there at alpha
 
 
 class _OffsetDerivatives(NamedTuple):
@@ -329,71 +337,54 @@ def _alpha_at(stats: _TailStats, b: float, start: float | None = None) -> _Profi
     convex in alpha (a linear data term plus a log-sum-exp of linear
     functions), so its derivative, the score ``n (E_data - E_p)[log(b + x)]``,
     is increasing, with derivative ``n Var_p[log(b + x)]``.
-    :func:`_newton_root` finds its root in ``[_ALPHA_LO, ALPHA_MAX]``
-    from ``start`` (default: the continuous MLE). A box end whose score
-    points out of the box pins the optimum there.
+    :func:`_newton_roots` finds its root in ``[_ALPHA_LO, ALPHA_MAX]``
+    from ``start`` (default: the continuous MLE), as one entry in floats.
+    A box end whose score points out of the box pins the optimum there.
 
     The window enters through its sums ``S_k`` of ``w l**k``, with
     ``l = log((b + x) / (b + x_min))`` and ``w = exp(-alpha l)``: then
     ``E_p[l] = S_1 / S_0`` and ``Var_p[l] = S_2 / S_0 - E_p[l]**2``.
     """
     sums = PowerLawWindowSums(b + stats.x_min)
-    log_edge = sums.log_offset
     data = float(stats.counts @ np.log(b + stats.values))
-    target = data / stats.n - log_edge  # the score is n (target - E_p[l])
     if start is None:
         start = float(_continuous_alpha(stats.n, stats.x_min, b, data))
 
-    def score(alpha):
-        z, s1, s2 = sums(alpha)
-        mean = s1 / z
-        return stats.n * (target - mean), stats.n * (s2 / z - mean * mean), z
+    def score(active, alpha):
+        return [_alpha_score(stats.n, data, sums.log_offset, *sums(alpha[0]))]
 
-    alpha, (grad_a, _, z), iterations = _newton_root(score, _ALPHA_LO, ALPHA_MAX, start)
-    pinned = grad_a >= 0.0 and alpha == _ALPHA_LO or grad_a <= 0.0 and alpha == ALPHA_MAX
-    return _ProfilePoint(alpha, b, pinned, iterations,
-                         alpha * data + stats.n * (math.log(z) - alpha * log_edge), grad_a, sums)
+    [(alpha, (grad_a, _, *window), iterations)] = _newton_roots(score, [start], _ALPHA_LO,
+                                                                ALPHA_MAX)
+    pinned, nll = _alpha_solved(alpha, grad_a, window[0], stats.n, data, sums.log_offset)
+    return _ProfilePoint(alpha, b, pinned, iterations, nll, grad_a, sums, tuple(window))
 
 
-def _alpha_roots(offsets: np.ndarray, n: np.ndarray, target: np.ndarray,
-                 start: np.ndarray):
-    """:func:`_alpha_at`'s solve at many offsets ``b + x_min`` at once, each from its ``start``.
+def _alpha_score(n, data, log_edge, z, s1, s2):
+    """The score ``n (data / n - log(b + x_min) - E_p[l])``, its derivative, and then the S_k."""
+    mean = s1 / z
+    return n * (data / n - log_edge - mean), n * (s2 / z - mean * mean), z, s1, s2
 
-    ``n``, ``target`` and ``start`` are the entries' sample sizes, score
-    targets and starts. Entry by entry this is :func:`_newton_root` on the
-    score in ``[_ALPHA_LO, ALPHA_MAX]``: each round evaluates the scores of
-    the entries still active in one array pass, then takes each entry's
-    :func:`_newton_step`. Returns each entry's last alpha
-    evaluated, its score and ``S_0`` there, and its number of evaluations.
+
+def _alpha_solved(alpha, score, z, n, data, log_edge):
+    """Whether a root alpha is pinned, and the objective there: floats in math, arrays in numpy."""
+    log = np.log if isinstance(z, np.ndarray) else math.log  # they differ in the last bits
+    pinned = (score >= 0.0) & (alpha == _ALPHA_LO) | (score <= 0.0) & (alpha == ALPHA_MAX)
+    return pinned, alpha * data + n * (log(z) - alpha * log_edge)
+
+
+def _alpha_roots(held: list, active, alpha):
+    """:func:`_newton_roots`' evaluate for alpha at many offsets, one array pass a round.
+
+    ``held`` is ``[entries, sums, n, data]`` of the last round's entries. It
+    is cut to the ``active`` ones, so its memory shrinks with them. Returns
+    each active entry's score at its alpha, the score's derivative and ``S_0``.
     """
-    size = len(start)
-    found = np.empty((3, size))  # alpha, score, S_0
-    evaluations = np.empty(size, dtype=np.int64)
-    active = np.arange(size)
-    brackets = np.array([_bracket(_ALPHA_LO, ALPHA_MAX)] * size)  # one row per entry
-    sums = PowerLawWindowSums(offsets)
-    x = np.clip(start, _ALPHA_LO, ALPHA_MAX)
-    for count in range(1, _ROOT_MAX_ITER + 1):
-        s0, s1, s2 = sums(x)
-        mean = s1 / s0
-        value = n * (target - mean)
-        derivative = n * (s2 / s0 - mean * mean)
-        del s1, s2, mean
-        rows = brackets.tolist()
-        steps = [_newton_step(*entry) for entry in
-                 zip(rows, x.tolist(), value.tolist(), derivative.tolist())]
-        done = np.array([new is None for new in steps]) | (count == _ROOT_MAX_ITER)
-        finished = active[done]
-        found[:, finished] = x[done], value[done], s0[done]
-        evaluations[finished] = count
-        if done.all():
-            break
-        keep = np.flatnonzero(~done)
-        x = np.array([steps[i] for i in keep])
-        brackets = np.array([rows[i] for i in keep])
-        del s0, value, derivative, rows, steps
-        active, sums, n, target = active[keep], sums.take(keep), n[keep], target[keep]
-    return (*found, evaluations)
+    if len(active) < len(held[0]):
+        keep = np.searchsorted(held[0], active)
+        held[:] = active, held[1].take(keep), held[2][keep], held[3][keep]
+    _, sums, n, data = held
+    columns = _alpha_score(n, data, sums.log_offset, *sums(np.array(alpha)))[:3]
+    return zip(*(column.tolist() for column in columns))
 
 
 def _offset_derivatives(stats: _TailStats, point: _ProfilePoint) -> _OffsetDerivatives:
@@ -420,7 +411,7 @@ def _offset_derivatives(stats: _TailStats, point: _ProfilePoint) -> _OffsetDeriv
     """
     alpha, b, n = point.alpha, point.b, stats.n
     sums = point.sums or PowerLawWindowSums(b + stats.x_min)
-    z, s1, s2 = sums(alpha)
+    z, s1, s2 = point.window or sums(alpha)
     inverse = 1.0 / (b + stats.values)
     data_inverse = float(stats.counts @ inverse)
     z1, s1_1, _ = sums(alpha + 1.0)
@@ -668,7 +659,7 @@ class _ProfileGrid(NamedTuple):
     def point(self, i: int) -> _ProfilePoint:
         return _ProfilePoint(float(self.alpha[i]), float(_GRID_B[i]), bool(self.pinned[i]),
                              int(self.iterations[i]), float(self.neg_log_likelihood[i]),
-                             float(self.score[i]))
+                             float(self.score[i]), None, None)
 
 
 def _grid_data(stats: _TailStats) -> np.ndarray:
@@ -684,22 +675,23 @@ def _profile_grids(views: list[_TailStats]) -> list[_ProfileGrid]:
     """Each view's profile at every grid offset, solved in one array pass.
 
     The pass holds one entry per (view, grid point) and solves alpha at all
-    of them together by :func:`_alpha_roots`, each from its continuous MLE.
-    An entry's arithmetic does not depend on the other entries, so a view's
-    grid is the same in any batch.
+    of them together by :func:`_newton_roots`, each from its continuous MLE,
+    every round one array evaluation (:func:`_alpha_roots`). An entry's
+    arithmetic does not depend on the other entries, so a view's grid is the
+    same in any batch.
     """
     shape = (len(views), _PROFILE_GRID)
     n = np.repeat([float(stats.n) for stats in views], _PROFILE_GRID)
     x_min = np.repeat([float(stats.x_min) for stats in views], _PROFILE_GRID)
     b = np.tile(_GRID_B, len(views))
     data = np.concatenate([_grid_data(stats) for stats in views])
-    offsets = b + x_min
-    log_edge = np.log(offsets)
-    start = _continuous_alpha(n, x_min, b, data)
+    held = [range(len(n)), PowerLawWindowSums(b + x_min), n, data]
+    log_edge, start = held[1].log_offset, _continuous_alpha(n, x_min, b, data).tolist()
     del x_min, b
-    alpha, score, z, iterations = _alpha_roots(offsets, n, data / n - log_edge, start)
-    pinned = (score >= 0.0) & (alpha == _ALPHA_LO) | (score <= 0.0) & (alpha == ALPHA_MAX)
-    nll = alpha * data + n * (np.log(z) - alpha * log_edge)
+    roots = _newton_roots(functools.partial(_alpha_roots, held), start, _ALPHA_LO, ALPHA_MAX)
+    alpha, score, z, iterations = map(np.array, zip(*((x, value, z, count)
+                                                      for x, (value, _, z), count in roots)))
+    pinned, nll = _alpha_solved(alpha, score, z, n, data, log_edge)
     columns = [column.reshape(shape) for column in (alpha, pinned, iterations, nll, score)]
     return [_ProfileGrid(*row) for row in zip(*columns)]
 
@@ -724,7 +716,7 @@ def fit_hooked(data: TruncatedView) -> FitResult:
     mixture the profile can have two local minima, and a local search for
     the slope root can stop in the worse one with ``converged`` just as
     true. Between the best grid point and the neighbour across which the
-    profile slope changes sign, :func:`_newton_root` finds the root of that
+    profile slope changes sign, :func:`_newton_roots` finds the root of that
     slope, starting from the secant of the two, each of its points solved
     by :func:`_alpha_at` from the alpha of the point before.
     :func:`_offset_derivatives` gives the slope and its derivative at
@@ -751,15 +743,15 @@ def _fit_hooked_profile(data: TruncatedView, stats: _TailStats, grid: _ProfileGr
                                                  (_GRID_T[side], side_slope)))
         path = [(best, at_best)]
 
-        def slope(t):
-            point = _alpha_at(stats, _offset(t), path[-1][0].alpha)
+        def slope(active, t):
+            point = _alpha_at(stats, _offset(t[0]), path[-1][0].alpha)
             at = _offset_derivatives(stats, point)
             path.append((point, at))
             # below its rounding level the slope is zero, which no Newton step can resolve
-            return at.slope if abs(at.slope) > at.rounding else 0.0, at.curvature
+            return [(at.slope if abs(at.slope) > at.rounding else 0.0, at.curvature)]
 
         secant = lo - slope_lo * (hi - lo) / (slope_hi - slope_lo)
-        iterations += _newton_root(slope, lo, hi, secant, bracketed=True)[2]
+        iterations += _newton_roots(slope, [secant], lo, hi, bracketed=True)[0][2]
         if path[-1][0].neg_log_likelihood < best.neg_log_likelihood:
             best, at_best = path[-1]
     grad_norm = _projected_gradient_norm((best.alpha, best.b), (best.score, at_best.grad_b),
@@ -824,25 +816,23 @@ def scan_x_min(data: CountDataset, kind: str, x_min_range) -> XminScanResult:
     """Fit at each truncation candidate and keep the best by KS distance.
 
     Candidates leaving fewer than ``MIN_SCAN_TAIL`` observations (or only
-    degenerate data) are skipped; if none survive, raises ScanError.
+    degenerate data) are skipped; if none survive, raises ScanError. The
+    others are fitted together by :func:`fit_many`.
     Ties break toward the smaller ``x_min`` (the larger tail).
     """
     candidates = sorted(set(int(x) for x in x_min_range))
     if not candidates:
         raise UsageError("x_min_range is empty")
-    entries = []
+    views = []
     for x_min in candidates:
         try:
             view = truncate(data, x_min)
         except EmptyTailError:
             continue
-        if view.n_tail < MIN_SCAN_TAIL:
-            continue
-        try:
-            fit = fit_kind(view, kind)
-        except DegenerateDataError:
-            continue
-        entries.append(XminScanEntry(x_min, fit, ks_distance(fit.dist, view)))
+        if view.n_tail >= MIN_SCAN_TAIL:
+            views.append(view)
+    entries = [XminScanEntry(view.x_min, fit, ks_distance(fit.dist, view))
+               for view, fit in zip(views, fit_many(views, kind)) if fit is not None]
     if not entries:
         raise ScanError(
             f"no truncation candidate left a tail of at least {MIN_SCAN_TAIL} usable points"

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from citefit.cli import _integer_column, main, parse_axis
+from citefit.cli import MAX_AXIS_POINTS, _integer_column, main, parse_axis
 from citefit.errors import UsageError
 from citefit.kernels import (
     DiscreteDistribution,
@@ -55,12 +55,17 @@ class TestParseAxis:
 
     def test_bad_spec(self):
         # each error names its spec; a range with an end that is not finite
-        # would otherwise never end
+        # would otherwise never end, and one of 10**9 points would run for minutes
         for spec in ("a,b", "1:2:0", "a:b:c", "1:2", "1,nan", "1,inf", "1:inf:1",
-                     "nan:3:1", "1:3:nan", "-inf:1:1"):
+                     "nan:3:1", "1:3:nan", "-inf:1:1", "1:1e9:1"):
             with pytest.raises(UsageError) as raised:
                 parse_axis(spec)
             assert repr(spec) in str(raised.value)
+
+    def test_range_of_the_most_points(self):
+        assert len(parse_axis(f"1:{MAX_AXIS_POINTS}:1")) == MAX_AXIS_POINTS
+        with pytest.raises(UsageError):
+            parse_axis(f"1:{MAX_AXIS_POINTS + 1}:1")
 
 
 class TestSlopeThreshold:
@@ -222,7 +227,8 @@ class TestScanCommand:
         assert payload["best_x_min"] in (1, 2, 3, 4)
         assert sum(e["best"] for e in payload["entries"]) == 1
 
-    @pytest.mark.parametrize("spec", ["a:b:c", "1,nan", "1,inf", "1:inf:1", "nan:3:1"])
+    @pytest.mark.parametrize("spec", ["a:b:c", "1,nan", "1,inf", "1:inf:1", "nan:3:1",
+                                      "1:1e9:1"])
     def test_bad_range_is_a_usage_error(self, tmp_path, capsys, spec):
         path = write_counts(tmp_path, PowerLawParams(2.5), 100, seed=4)
         code, out, err = main_output(capsys, "scan", "--input", path, "--dist", "pl",

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -11,10 +13,13 @@ from citefit.dataset import CountDataset, truncate
 from citefit.errors import DegenerateDataError, ScanError, UsageError
 from citefit.fitting import (
     HOOKED_GRAD_TOL,
+    MIN_SCAN_TAIL,
+    _ROOT_MAX_ITER,
     _GRID_B,
     _GRID_VIEWS,
     _alpha_at,
     _lognormal_point,
+    _newton_roots,
     _LognormalStats,
     _offset,
     _offset_derivatives,
@@ -154,6 +159,43 @@ class TestFitPowerLaw:
         monkeypatch.setattr(PowerLawWindowSums, "__call__", counted)
         fit = fit_power_law(view)
         assert len(calls) == fit.iterations + 1
+
+
+class TestNewtonRoots:
+    """The one Newton driver: a batch of roots is each root searched alone."""
+
+    @pytest.mark.parametrize("bracketed", [False, True])
+    def test_each_entry_as_alone(self, bracketed):
+        roots = [(lambda x: (math.exp(x) - 5.0, math.exp(x)), -3.0),  # start below the box
+                 (lambda x: (x**3 - 30.0, 3.0 * x * x), 19.0),
+                 (lambda x: (x - 7.25, 1.0), 2.0)]
+        if not bracketed:
+            roots += [(lambda x: (x + 5.0, 1.0), 10.0),  # positive throughout: pinned at lo
+                      (lambda x: (x - 100.0, 1.0), 3.0),  # negative throughout: pinned at hi
+                      (lambda x: (-1.0, 1e10), 5.0)]  # steps of 1e-10: runs out of evaluations
+        functions, starts = zip(*roots)
+        rounds = []
+
+        def evaluate(active, x):
+            rounds.append(list(active))
+            return [functions[i](xi) for i, xi in zip(active, x)]
+
+        together = _newton_roots(evaluate, list(starts), 1.0, 20.0, bracketed)
+        for fn, start, got in zip(functions, starts, together):
+            alone = _newton_roots(lambda active, x: [fn(x[0])], [start], 1.0, 20.0, bracketed)
+            assert got == alone[0]
+        assert together[0][0] == pytest.approx(math.log(5.0), rel=1e-15)
+        assert together[1][0] == pytest.approx(30.0 ** (1 / 3), rel=1e-15)
+        assert together[2][0] == 7.25
+        # one evaluation a round, of the entries still searching, each for as many
+        # rounds as its own count
+        assert rounds[0] == list(range(len(roots)))
+        assert all(later == [i for i in earlier if i in later]
+                   for earlier, later in zip(rounds, rounds[1:]))
+        assert [sum(i in r for r in rounds) for i in range(len(roots))] == [c for *_, c in together]
+        if not bracketed:
+            assert [(x, c) for x, _, c in together[3:5]] == [(1.0, 2), (20.0, 2)]
+            assert together[5][2] == _ROOT_MAX_ITER and 5.0 < together[5][0] < 5.0 + 1e-7
 
 
 def reference_fit(view, kind):
@@ -431,28 +473,43 @@ class TestFitHooked:
         # the best grid point, the neighbour its slope points to and each
         # root-phase point; none of the other grid points
         view = sample_view(HookedPowerLawParams(alpha, b), 500, seed)
-        calls, built = [], []
+        calls, built, reading = [], [], []
+        window_call = PowerLawWindowSums.__call__
 
         def counted(stats, point):
-            calls.append(point.b)
-            return _offset_derivatives(stats, point)
+            reading.append([])  # the alphas of the window-sum calls this point makes
+            calls.append((point, reading[-1]))
+            try:
+                return _offset_derivatives(stats, point)
+            finally:
+                reading.pop()
 
         def window_sums(offset):
             built.append(offset)
             return PowerLawWindowSums(offset)
 
+        def counted_call(sums, a):
+            if reading:
+                reading[-1].append(a)
+            return window_call(sums, a)
+
         monkeypatch.setattr(fitting, "_offset_derivatives", counted)
         monkeypatch.setattr(fitting, "PowerLawWindowSums", window_sums)
+        monkeypatch.setattr(PowerLawWindowSums, "__call__", counted_call)
         fit = fit_hooked(view)
         root_phase = fit.iterations - 40
         assert root_phase >= 1
         assert 1 <= len(calls) <= 2 + root_phase
         # the window sums: one array for the grid, and one offset per point whose
         # slope is read; a root-phase point's derivatives reuse the sums its
-        # alpha was solved with
+        # alpha was solved with, and its S_0, S_1 and S_2 from the last score
+        # evaluation, at its own alpha, so they evaluate only alpha + 1 and alpha + 2
         floats = [offset for offset in built if not isinstance(offset, np.ndarray)]
-        for b in calls[-root_phase:]:
-            assert floats.count(b + view.x_min) == 1
+        for point, alphas in calls[-root_phase:]:
+            assert floats.count(point.b + view.x_min) == 1
+            assert alphas == [point.alpha + 1.0, point.alpha + 2.0]
+        for point, alphas in calls[:-root_phase]:
+            assert alphas == [point.alpha, point.alpha + 1.0, point.alpha + 2.0]
         assert len(floats) == len(calls)
         assert len(built) - len(floats) == 1
 
@@ -700,6 +757,28 @@ class TestScanXmin:
             # the CDF is constant past the window, so the count's size beyond it cannot matter
             edge = truncate(CountDataset(rest + (x_min + NORMALIZATION_TERMS,)), x_min)
             assert ks_distance(dist, huge) == ks_distance(dist, edge)
+
+    @pytest.mark.parametrize("kind", ["pl", "ln", "hooked"])
+    def test_each_entry_equals_its_fit_alone(self, kind):
+        # the candidates that survive are fitted together by fit_many; the others
+        # are an empty tail, a tail below MIN_SCAN_TAIL and a degenerate tail
+        sample = sample_view(HookedPowerLawParams(3.0, 10.0), 500, seed=12).base
+        raw = np.repeat(sample.values, sample.multiplicities)
+        top = int(sample.values[-1])
+        assert truncate(sample, top).n_tail < MIN_SCAN_TAIL
+        cases = [(sample, [1, 2, 5, top, top + 1], [1, 2, 5]),
+                 (CountDataset(np.concatenate([raw, [10**7] * 12])),
+                  [1, 3, 10**7, 10**7 + 1], [1, 3])]
+        for data, candidates, survivors in cases:
+            result = scan_x_min(data, kind, candidates)
+            assert [entry.x_min for entry in result.per_xmin] == survivors
+            for entry in result.per_xmin:
+                view = truncate(data, entry.x_min)
+                alone = fitting.fit_kind(view, kind)
+                assert fit_fields(entry.fit) == fit_fields(alone)
+                assert entry.selection_score == ks_distance(alone.dist, view)
+        with pytest.raises(DegenerateDataError):
+            fitting.fit_kind(truncate(cases[1][0], 10**7), kind)
 
     def test_ks_distance_zero_for_perfect_cdf_match(self):
         # empirical CDF exactly on the model CDF has distance ~0 at those points
