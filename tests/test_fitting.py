@@ -20,11 +20,9 @@ from citefit.fitting import (
     _alpha_at,
     _lognormal_point,
     _newton_roots,
-    _LognormalStats,
     _offset,
     _offset_derivatives,
     _profile_grids,
-    _TailStats,
     fit_hooked,
     fit_many,
     fit_lognormal,
@@ -48,6 +46,7 @@ from citefit.kernels import (
     HookedPowerLawParams,
     PowerLawParams,
     PowerLawWindowSums,
+    normalization_window,
 )
 from citefit.simulation import ll_contour
 
@@ -307,9 +306,9 @@ class TestLognormalNewton:
         ``(g0, g1) -> (g0, g1 + 2 (mu' - mu) g0)``.
         """
         view = truncate(CountDataset([1, 7, 10_000]), 1)
-        stats = _LognormalStats(view)
-        log_window, log_values = np.log(stats.window), np.log(stats.values)
-        point = _lognormal_point(stats, log_window, log_values, mu, sigma)
+        scratch = np.empty((4, NORMALIZATION_TERMS))
+        log_window, log_values = np.log(normalization_window(1)), np.log(view.values)
+        point = _lognormal_point(view, scratch, log_window, log_values, mu, sigma)
         uw, uv = log_window - mu, log_values - mu
 
         def objective(theta):
@@ -319,7 +318,7 @@ class TestLognormalNewton:
         def gradient(theta):
             var = -0.5 / theta[1]
             moved = mu + theta[0] * var
-            g = _lognormal_point(stats, log_window, log_values, moved, np.sqrt(var)).grad
+            g = _lognormal_point(view, scratch, log_window, log_values, moved, np.sqrt(var)).grad
             return np.array([g[0], g[1] + 2 * (moved - mu) * g[0]])
 
         theta = np.array([0.0, -0.5 / sigma**2])
@@ -476,11 +475,11 @@ class TestFitHooked:
         calls, built, reading = [], [], []
         window_call = PowerLawWindowSums.__call__
 
-        def counted(stats, point):
+        def counted(data, point):
             reading.append([])  # the alphas of the window-sum calls this point makes
             calls.append((point, reading[-1]))
             try:
-                return _offset_derivatives(stats, point)
+                return _offset_derivatives(data, point)
             finally:
                 reading.pop()
 
@@ -524,9 +523,9 @@ class TestFitHooked:
         fit = fit_hooked(view)
         assert fit.converged
         assert np.log1p(fit.params.B) > 5.0
-        stats, points = _TailStats(view), []
+        points = []
         for t in np.linspace(np.log1p(B_MIN), np.log1p(B_MAX), 400):
-            points.append(_alpha_at(stats, _offset(t), points[-1].alpha if points else None))
+            points.append(_alpha_at(view, _offset(t), points[-1].alpha if points else None))
         profile_min = min(p.neg_log_likelihood for p in points)
         assert fit.neg_log_likelihood <= profile_min * (1.0 + 1e-9)
 
@@ -606,11 +605,10 @@ class TestFitMany:
         # the scalar solve at each grid offset, cold from the continuous MLE, is
         # the reference: the array pass agrees to 1e-12 in the negative log-likelihood
         views = [v for v in batch_views() if v.n_tail > 3 and len(v.values) > 1]
-        stats = [_TailStats(v) for v in views]
-        for st, grid in zip(stats, _profile_grids(stats)):
+        for view, grid in zip(views, _profile_grids(views)):
             for b, nll, alpha, pinned in zip(_GRID_B.tolist(), grid.neg_log_likelihood,
                                             grid.alpha, grid.pinned):
-                point = _alpha_at(st, b)
+                point = _alpha_at(view, b)
                 assert nll == pytest.approx(point.neg_log_likelihood, rel=1e-12, abs=0)
                 assert alpha == pytest.approx(point.alpha, rel=1e-9, abs=1e-9)
                 assert pinned == point.pinned
@@ -628,7 +626,7 @@ class TestFitMany:
             return window_sums(sums, alpha)
 
         monkeypatch.setattr(PowerLawWindowSums, "__call__", counted)
-        grids = _profile_grids([_TailStats(v) for v in views])
+        grids = _profile_grids(views)
         assert max(int(grid.iterations.max()) for grid in grids) > 4
         assert calls and all(isinstance(alpha, np.ndarray) for alpha in calls)
 
@@ -655,54 +653,71 @@ class TestFitMany:
         assert four <= one + kept + 64_000
 
 
+@pytest.mark.parametrize("kind", ["pl", "ln", "hooked"])
+def test_one_tail_check_for_every_family(kind):
+    # too few points, or one distinct value, is degenerate for each family alike:
+    # fit_kind names the family, and fit_many gives None without a fit
+    family, fewest = fitting.MIN_TAIL[kind]
+    short = truncate(CountDataset(range(1, fewest)), 1)
+    constant = truncate(CountDataset([4] * fewest), 1)
+    assert (short.n_tail, len(constant.values)) == (fewest - 1, 1)
+    for view in (short, constant):
+        with pytest.raises(DegenerateDataError, match=f"^{family} fit "):
+            fitting.fit_kind(view, kind)
+        assert fit_many([view], kind) == [None]
+    smallest = truncate(CountDataset(range(1, fewest + 1)), 1)
+    [fit] = fit_many([smallest], kind)
+    assert fit_fields(fit) == fit_fields(fitting.fit_kind(smallest, kind))
+
+
 @pytest.fixture(scope="module")
-def profile_stats():
-    return _TailStats(sample_view(HookedPowerLawParams(3.0, 10.0), 2000, seed=5))
+def profile_view():
+    return sample_view(HookedPowerLawParams(3.0, 10.0), 2000, seed=5)
 
 
-def offset_derivatives_at(stats, t):
-    return _offset_derivatives(stats, _alpha_at(stats, _offset(t)))
+def offset_derivatives_at(view, t):
+    return _offset_derivatives(view, _alpha_at(view, _offset(t)))
 
 
 class TestProfileSlope:
     """The envelope theorem: the slope, from the partial d/dB alone, is the profile's d/dt."""
 
     @pytest.mark.parametrize("t", [0.5, 1.5, 2.4, 4.0, 8.0, -5.0])
-    def test_matches_central_differences_of_the_profile(self, profile_stats, t):
-        stats, h = profile_stats, 1e-4
-        point = _alpha_at(stats, _offset(t))
+    def test_matches_central_differences_of_the_profile(self, profile_view, t):
+        view, h = profile_view, 1e-4
+        point = _alpha_at(view, _offset(t))
         assert point.pinned or t != -5.0
-        central = (_alpha_at(stats, _offset(t + h)).neg_log_likelihood
-                   - _alpha_at(stats, _offset(t - h)).neg_log_likelihood) / (2 * h)
-        assert _offset_derivatives(stats, point).slope == pytest.approx(central, rel=1e-6)
+        central = (_alpha_at(view, _offset(t + h)).neg_log_likelihood
+                   - _alpha_at(view, _offset(t - h)).neg_log_likelihood) / (2 * h)
+        assert _offset_derivatives(view, point).slope == pytest.approx(central, rel=1e-6)
 
 
 class TestProfileCurvature:
     """The profile's exact second derivative in t = log(B + 1), which the hooked root phase steps on."""
 
     @pytest.mark.parametrize("t", [0.5, 1.5, 2.4, 4.0, 8.0])
-    def test_matches_central_differences_of_the_slope(self, profile_stats, t):
-        stats, h = profile_stats, 1e-5
-        central = (offset_derivatives_at(stats, t + h).slope
-                   - offset_derivatives_at(stats, t - h).slope) / (2 * h)
-        assert offset_derivatives_at(stats, t).curvature == pytest.approx(central, rel=1e-6)
+    def test_matches_central_differences_of_the_slope(self, profile_view, t):
+        view, h = profile_view, 1e-5
+        central = (offset_derivatives_at(view, t + h).slope
+                   - offset_derivatives_at(view, t - h).slope) / (2 * h)
+        assert offset_derivatives_at(view, t).curvature == pytest.approx(central, rel=1e-6)
 
-    def test_pinned_alpha_leaves_the_offset_curvature_alone(self, profile_stats):
+    def test_pinned_alpha_leaves_the_offset_curvature_alone(self, profile_view):
         # alpha pinned at its lower bound: the curvature is (B + 1)**2 f_BB + (B + 1) f_B,
         # here summed over the explicit window
-        stats = profile_stats
-        point = _alpha_at(stats, _offset(-5.0))
+        view = profile_view
+        point = _alpha_at(view, _offset(-5.0))
         assert point.pinned and point.alpha == pytest.approx(ALPHA_MIN)
-        alpha, b, n = point.alpha, point.b, stats.n
-        window = np.arange(stats.x_min, stats.x_min + NORMALIZATION_TERMS, dtype=float)
+        alpha, b, n, counts = point.alpha, point.b, view.n_tail, view.multiplicities
+        window = np.arange(view.x_min, view.x_min + NORMALIZATION_TERMS, dtype=float)
         log_w = -alpha * np.log(b + window)
         p = np.exp(log_w - log_w.max())
         p /= p.sum()
-        inv, data_inv = 1.0 / (b + window), 1.0 / (b + stats.values)
-        f_b = alpha * (stats.counts @ data_inv - n * (p @ inv))
-        f_bb = (-alpha * (stats.counts @ data_inv**2) + n * alpha * (p @ inv**2)
+        inv, data_inv = 1.0 / (b + window), 1.0 / (b + view.values)
+        f_b = alpha * (counts @ data_inv - n * (p @ inv))
+        f_bb = (-alpha * (counts @ data_inv**2) + n * alpha * (p @ inv**2)
                 + n * alpha**2 * (p @ inv**2 - (p @ inv) ** 2))
-        curvature = _offset_derivatives(stats, point).curvature
+        curvature = _offset_derivatives(view, point).curvature
         assert curvature == pytest.approx((b + 1) ** 2 * f_bb + (b + 1) * f_b, rel=1e-9)
 
 
