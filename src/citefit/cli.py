@@ -9,6 +9,11 @@ random is driven by ``--seed`` (default 42).
 
 Exit codes: 0 success, 1 usage, 2 I/O, 3 degenerate data, 4 internal
 consistency failure.
+
+A process loads only what its command calls: each handler imports the
+library modules it uses, and the module level holds the standard library,
+numpy, ``errors`` and ``kernels``. ``entry`` is the process's own start,
+for ``python -m citefit.cli`` and the ``citefit`` script alike.
 """
 
 from __future__ import annotations
@@ -16,16 +21,15 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import gc
 import io
 import json
 import math
 import sys
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import simulation
-from .comparison import FIRST, SECOND, lrt_test, vuong_test
-from .dataset import load_counts, truncate
 from .errors import (
     EXIT_IO,
     EXIT_OK,
@@ -34,8 +38,10 @@ from .errors import (
     InternalConsistencyError,
     UsageError,
 )
-from .fitting import FitResult, fit_kind, scan_x_min
-from .kernels import FAMILIES, DiscreteDistribution, ParamSpec
+from .kernels import DEFAULT_HOOKED_B, FAMILIES, DiscreteDistribution, ParamSpec
+
+if TYPE_CHECKING:
+    from .fitting import FitResult
 
 DEFAULT_SEED = 42
 KINDS = tuple(FAMILIES)  # ("pl", "ln", "hooked")
@@ -131,6 +137,9 @@ def _scan_candidates(args, data) -> list[int]:
 
 
 def cmd_fit(args):
+    from .dataset import load_counts, truncate
+    from .fitting import fit_kind
+
     data = load_counts(args.input, args.input_format)
     view = truncate(data, args.x_min)
     kinds = KINDS if args.dist == "all" else (args.dist,)
@@ -149,6 +158,9 @@ def cmd_fit(args):
 
 
 def cmd_scan(args):
+    from .dataset import load_counts
+    from .fitting import scan_x_min
+
     data = load_counts(args.input, args.input_format)
     result = scan_x_min(data, args.dist, _scan_candidates(args, data))
     entries = []
@@ -167,6 +179,10 @@ def cmd_scan(args):
 
 
 def cmd_compare(args):
+    from .comparison import FIRST, SECOND, lrt_test, vuong_test
+    from .dataset import load_counts, truncate
+    from .fitting import fit_kind
+
     data = load_counts(args.input, args.input_format)
     view = truncate(data, args.x_min)
     names = (args.first, args.second)
@@ -195,6 +211,10 @@ def cmd_compare(args):
 
 
 def cmd_analyze(args):
+    from .comparison import lrt_test, vuong_test
+    from .dataset import load_counts, truncate
+    from .fitting import fit_kind, scan_x_min
+
     data = load_counts(args.input, args.input_format)
     flags = []
     if args.x_min == "all":
@@ -270,11 +290,13 @@ def cmd_sample(args):
 
 
 def cmd_ci_study(args):
+    from .simulation import ci_width_study, lognormal_ci_study
+
     replicates = args.replicates
     if replicates is None:
         replicates = DESK_REPLICATES if args.preset == "desk" else FULL_REPLICATES
     if args.kind in ("hooked", "pl"):
-        grid = simulation.ci_width_study(
+        grid = ci_width_study(
             args.kind,
             parse_axis(args.alpha_grid),
             parse_axis(args.n_grid),
@@ -286,7 +308,7 @@ def cmd_ci_study(args):
         return grid.to_json_dict(), grid.to_rows()
     if args.mu_grid is None or args.sigma_grid is None:
         raise UsageError("--mu-grid and --sigma-grid are required for the lognormal study")
-    mu_grid, sigma_grid = simulation.lognormal_ci_study(
+    mu_grid, sigma_grid = lognormal_ci_study(
         parse_axis(args.mu_grid),
         parse_axis(args.sigma_grid),
         n=args.n,
@@ -305,23 +327,30 @@ def _warn_flagged(grid):
 
 
 def cmd_contour(args):
+    from .dataset import load_counts, truncate
+    from .simulation import ll_contour
+
     data = load_counts(args.input, args.input_format)
     view = truncate(data, args.x_min)
-    grid = simulation.ll_contour(view, args.kind, parse_axis(args.p1), parse_axis(args.p2))
+    grid = ll_contour(view, args.kind, parse_axis(args.p1), parse_axis(args.p2))
     if grid.invalid_cells:
         _diag(f"warning: {grid.invalid_cells} grid cell(s) fell outside the parameter domain")
     return grid.to_json_dict(), grid.to_rows()
 
 
 def cmd_ridge(args):
-    report = simulation.ridge_demo(args.alpha, args.B, n=args.n, seed=args.seed)
+    from .simulation import ridge_demo
+
+    report = ridge_demo(args.alpha, args.B, n=args.n, seed=args.seed)
     if not report.fit_converged:
         _diag("warning: hooked fit did not converge")
     return report.to_json_dict(), [dataclasses.asdict(report)]
 
 
 def cmd_slope_threshold(args):
-    value = simulation.slope_tolerance_threshold(args.tolerance, args.B)
+    from .simulation import slope_tolerance_threshold
+
+    value = slope_tolerance_threshold(args.tolerance, args.B)
     if value == int(value):
         value = int(value)
     return value, [{"threshold": value}]
@@ -387,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("hooked", "pl", "ln"), required=True)
     p.add_argument("--alpha-grid", default=DEFAULT_ALPHA_GRID)
     p.add_argument("--n-grid", default=DEFAULT_N_GRID)
-    p.add_argument("--B", type=float, default=simulation.DEFAULT_HOOKED_B,
+    p.add_argument("--B", type=float, default=DEFAULT_HOOKED_B,
                    help="generator offset for the hooked study (default 10)")
     p.add_argument("--mu-grid", default=None)
     p.add_argument("--sigma-grid", default=None)
@@ -407,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("ridge", cmd_ridge, "sample, fit, and evaluate the alpha/B trade-off once")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--B", type=float, default=simulation.DEFAULT_HOOKED_B)
+    p.add_argument("--B", type=float, default=DEFAULT_HOOKED_B)
     p.add_argument("-n", "--n", type=int, default=500)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
@@ -519,5 +548,21 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def entry() -> int:
+    """The ``citefit`` process: ``main`` on ``sys.argv``, exit code returned.
+
+    ``gc.freeze()`` moves every object alive at each call, the loaded
+    modules among them, to the collector's permanent generation: first
+    after the module-level imports, then after the command, whose own
+    imports it covers. So neither the command's collections nor the
+    interpreter's final passes at exit walk them again. ``main`` itself
+    changes no process-wide state: in-process callers run it many times.
+    """
+    gc.freeze()
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -71,6 +71,8 @@ ALPHA_MIN, ALPHA_MAX = 1.0, 20.0
 B_MIN, B_MAX = -0.999, 1e6
 MU_MIN, MU_MAX = -1000.0, 20.0
 SIGMA_MIN, SIGMA_MAX = 1e-6, 50.0
+#: Default generator offset of the hooked precision study and ridge demo.
+DEFAULT_HOOKED_B = 10.0
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .fitting import fit_hooked, fit_many, neg_log_likelihood
 from .kernels import (
+    DEFAULT_HOOKED_B,
     FAMILIES,
     DiscreteDistribution,
     DiscreteLognormalParams,
@@ -47,9 +48,6 @@ from .kernels import (
 
 #: Fraction of excluded replicates above which a cell is flagged.
 EXCLUSION_FLAG_FRACTION = 0.10
-
-#: Default generator offset for the hooked precision study.
-DEFAULT_HOOKED_B = 10.0
 
 
 def replicate_seed(seed: int, *key: int) -> np.random.SeedSequence:

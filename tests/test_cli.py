@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+import citefit
 from citefit.cli import MAX_AXIS_POINTS, _integer_column, main, parse_axis
 from citefit.errors import UsageError
 from citefit.kernels import (
@@ -464,3 +466,153 @@ class TestWithoutScipy:
         )
         assert r.returncode == 0, r.stderr
         assert json.loads(r.stdout) == [0] * 7
+
+
+# Runs one command through main in a fresh interpreter; prints its exit code
+# and the citefit modules loaded by then.
+IMPORT_SET = """
+import contextlib, io, sys
+from citefit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.split(".")[0] == "citefit"))
+"""
+
+BASE_MODULES = ["citefit", "citefit.cli", "citefit.errors", "citefit.kernels"]
+FITTING_MODULES = BASE_MODULES + ["citefit.dataset", "citefit.fitting"]
+SIMULATION_MODULES = FITTING_MODULES + ["citefit.simulation"]
+
+#: The package's public names: the lazy namespace keeps every one.
+PUBLIC_NAMES = {
+    "AttachmentParams", "CIWidthGrid", "ComparisonOutcome", "CountDataset",
+    "DiscreteDistribution", "DiscreteLognormalParams", "FitResult", "HookedPowerLawParams",
+    "LLContourGrid", "PowerLawParams", "RidgeReport", "TruncatedView", "XminScanResult",
+    "attachment_to_hooked", "ci_width_study", "fit_hooked", "fit_lognormal", "fit_power_law",
+    "hooked_to_attachment", "ll_contour", "load_counts", "lognormal_ci_study", "lrt_test",
+    "neg_log_likelihood", "normalization_constant", "normalization_constants", "ridge_demo",
+    "scan_x_min", "slope_tolerance_threshold", "tail_ccdf", "truncate", "unnormalized_weight",
+    "vuong_test",
+}
+
+#: Each command and the citefit modules loaded once it has run.
+COMMAND_MODULES = [
+    (["fit", "--input", "{path}", "--dist", "all"], FITTING_MODULES),
+    (["scan", "--input", "{path}", "--dist", "hooked", "--x-min-range", "1:3:1"],
+     FITTING_MODULES),
+    (["analyze", "--input", "{path}"], FITTING_MODULES + ["citefit.comparison"]),
+    (["compare", "--input", "{path}", "--first", "pl", "--second", "ln"],
+     FITTING_MODULES + ["citefit.comparison"]),
+    (["sample", "--dist", "hooked", "--alpha", "3", "-n", "5"], BASE_MODULES),
+    (["ci-study", "--kind", "pl", "--alpha-grid", "3", "--n-grid", "50", "--replicates", "2"],
+     SIMULATION_MODULES),
+    (["contour", "--input", "{path}", "--kind", "ln", "--p1", "0:1:1", "--p2", "1"],
+     SIMULATION_MODULES),
+    (["ridge", "--alpha", "3", "-n", "100"], SIMULATION_MODULES),
+    (["slope-threshold", "-T", "0.1", "--B", "55"], SIMULATION_MODULES),
+]
+
+
+class TestImportSets:
+    """Each command loads only the library modules it calls."""
+
+    @pytest.mark.parametrize("argv, modules", COMMAND_MODULES,
+                             ids=[argv[0] for argv, _ in COMMAND_MODULES])
+    def test_command_loads_its_modules(self, tmp_path, argv, modules):
+        path = write_counts(tmp_path, HookedPowerLawParams(3.0, 5.0), 300, seed=8)
+        r = subprocess.run([sys.executable, "-c", IMPORT_SET,
+                            *(a.format(path=path) for a in argv)],
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split() == ["0", *sorted(modules)]
+
+    def test_import_loads_no_submodule(self):
+        r = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, citefit; print(*sorted(m for m in sys.modules if 'citefit' in m))"],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split() == ["citefit"]
+
+
+class TestLazyNamespace:
+    def test_names_resolve_to_their_modules(self):
+        assert set(citefit.__all__) == PUBLIC_NAMES
+        for name in citefit.__all__:
+            value = getattr(citefit, name)
+            assert value.__module__.startswith("citefit.")
+            assert getattr(sys.modules[value.__module__], name) is value
+
+    def test_star_import_and_dir(self):
+        namespace = {}
+        exec("from citefit import *", namespace)
+        assert PUBLIC_NAMES <= set(namespace)
+        assert PUBLIC_NAMES <= set(dir(citefit))
+        assert "__version__" in dir(citefit)
+
+    def test_submodules_read_as_attributes(self):
+        r = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, citefit; "
+             "print(citefit.kernels.FAMILIES is sys.modules['citefit.kernels'].FAMILIES, "
+             "citefit.errors.EXIT_IO)"],
+            capture_output=True, text=True,
+        )
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split() == ["True", "2"]
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            citefit.no_such_name
+        with pytest.raises(ImportError, match="no_such_name"):
+            exec("from citefit import no_such_name", {})
+
+    def test_version(self):
+        assert citefit.__version__ == "0.1.0"
+
+
+class TestProcessEntry:
+    def test_main_leaves_the_collector_as_it_was(self, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert main_output(capsys, "slope-threshold", "-T", "0.1", "--B", "55")[0] == 0
+        assert main_output(capsys, "sample", "--dist", "pl", "--alpha", "2.5", "-n", "3")[0] == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_output_file_holds_the_stdout_bytes(self, tmp_path):
+        argv = ["sample", "--dist", "ln", "--mu", "1", "--sigma", "1", "-n", "1000",
+                "--format", "csv"]
+        out_path = tmp_path / "sample.csv"
+        to_stdout = subprocess.run([sys.executable, "-m", "citefit.cli", *argv],
+                                   capture_output=True)
+        to_file = subprocess.run([sys.executable, "-m", "citefit.cli", *argv,
+                                  "--output", str(out_path)], capture_output=True)
+        assert to_stdout.returncode == to_file.returncode == 0
+        assert to_file.stdout == b""
+        assert out_path.read_bytes() == to_stdout.stdout
+
+    def test_entry_runs_the_command_line(self, tmp_path):
+        # what the citefit console script calls; the loaded modules end up
+        # in the collector's permanent generation
+        path = write_counts(tmp_path, HookedPowerLawParams(3.0, 5.0), 300, seed=8)
+        argv = ["fit", "--input", path, "--dist", "all"]
+        script = subprocess.run(
+            [sys.executable, "-c",
+             "import gc, sys; from citefit.cli import entry; sys.argv[0] = 'citefit'; "
+             "code = entry(); print(gc.get_freeze_count() > 0, file=sys.stderr); sys.exit(code)",
+             *argv],
+            capture_output=True)
+        module = subprocess.run([sys.executable, "-m", "citefit.cli", *argv], capture_output=True)
+        assert script.returncode == module.returncode == 0
+        assert script.stdout == module.stdout
+        assert script.stderr.split() == [b"True"]
+
+    @pytest.mark.parametrize("code", [1, 2, 3])
+    def test_exit_codes_reach_the_shell(self, tmp_path, code):
+        const = tmp_path / "const.txt"
+        const.write_text("4\n4\n4\n4\n", encoding="utf-8")
+        argv = {1: ["fit", "--dist", "pl"],
+                2: ["fit", "--input", str(tmp_path / "missing.txt"), "--dist", "pl"],
+                3: ["fit", "--input", str(const), "--dist", "pl"]}[code]
+        r = run_cli(*argv)
+        assert r.returncode == code
+        assert r.stdout == "" and r.stderr.startswith("error: ")

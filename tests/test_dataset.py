@@ -210,6 +210,21 @@ class TestParserEquivalence:
         assert histogram(ds) == ([2, 3, 10], [1, 2, 1])
         assert ds.zeros_dropped == 1
 
+    def test_good_lines_skip_the_per_line_reader(self, tmp_path, monkeypatch):
+        def per_line(token, lineno):
+            raise AssertionError(f"line {lineno} went through _parse_count")
+
+        monkeypatch.setattr(dataset, "_parse_count", per_line)
+        ds = load_counts(write(tmp_path, "s.txt", " 5 \n+3\n\n\t\n1_0\r\n0 \n"), "plain")
+        assert histogram(ds) == ([3, 5, 10], [1, 1, 1])
+        assert ds.zeros_dropped == 1
+
+    # str.strip removes U+001C..U+001F and int() does not: such lines take
+    # the line-by-line reader, to the per-token result
+    @pytest.mark.parametrize("text", ["5\n\x1c7\x1f\n", "5\n\x1c-7\n", "\x1d\n3 \n", "\x1e\n"])
+    def test_separators_int_rejects(self, tmp_path, text):
+        assert_loads_as_reference(write(tmp_path, "f.txt", text), text)
+
     @pytest.mark.parametrize("token", ["1.0", "0x10", str(2**63)])
     def test_rejected_in_csv_too(self, tmp_path, token):
         with pytest.raises(ParseError, match="line 3"):
