@@ -296,25 +296,14 @@ def cmd_ci_study(args):
     if replicates is None:
         replicates = DESK_REPLICATES if args.preset == "desk" else FULL_REPLICATES
     if args.kind in ("hooked", "pl"):
-        grid = ci_width_study(
-            args.kind,
-            parse_axis(args.alpha_grid),
-            parse_axis(args.n_grid),
-            replicates=replicates,
-            seed=args.seed,
-            B=args.B,
-        )
+        grid = ci_width_study(args.kind, parse_axis(args.alpha_grid), parse_axis(args.n_grid),
+                              replicates=replicates, seed=args.seed, B=args.B)
         _warn_flagged(grid)
         return grid.to_json_dict(), grid.to_rows()
     if args.mu_grid is None or args.sigma_grid is None:
         raise UsageError("--mu-grid and --sigma-grid are required for the lognormal study")
-    mu_grid, sigma_grid = lognormal_ci_study(
-        parse_axis(args.mu_grid),
-        parse_axis(args.sigma_grid),
-        n=args.n,
-        replicates=replicates,
-        seed=args.seed,
-    )
+    mu_grid, sigma_grid = lognormal_ci_study(parse_axis(args.mu_grid), parse_axis(args.sigma_grid),
+                                             n=args.n, replicates=replicates, seed=args.seed)
     _warn_flagged(mu_grid)
     payload = {"mu": mu_grid.to_json_dict(), "sigma": sigma_grid.to_json_dict()}
     return payload, mu_grid.to_rows() + sigma_grid.to_rows()

@@ -30,14 +30,12 @@ The solvers use that and need nothing beyond numpy:
   in which increases in ``alpha`` trade off against increases in ``B``.
 * discrete lognormal: damped Newton in the natural parameters
   ``eta = (mu / sigma**2, -1 / (2 sigma**2))`` of ``T = (ln x, ln**2 x)``,
-  started from the moments of ``ln x``. The ``(mu, sigma)`` box is four
-  linear constraints in ``eta``, held by an active set
-  (:func:`_lognormal_direction`). It keeps its own solver: profiled over
-  ``log sigma`` by :func:`_newton_roots`, with an inner ``mu`` root
-  warm-started from the joint Newton prediction, it agreed with this one
-  to 2e-12 but took 19.7 window passes a fit instead of 6.5, 3.0 ms
-  instead of 1.76 ms, and a lognormal ``ci-study`` 0.52 s instead of
-  0.43 s (2 cores).
+  started from the moments of ``ln x``, each step reading the window's
+  normalizer and moments from :class:`~citefit.kernels.LognormalWindowSums`.
+  The ``(mu, sigma)`` box is four linear constraints in ``eta``, held by an
+  active set (:func:`_lognormal_direction`). A profile over ``log sigma``
+  by :func:`_newton_roots` agreed with it to 2e-12 but took three times
+  the window passes (README).
 
 Every fitter reads the :class:`~citefit.dataset.TruncatedView` it is
 given. Convergence is always decided on the analytic gradient.
@@ -51,6 +49,7 @@ Everything here is a pure function of its inputs; concurrent use is safe.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -61,7 +60,7 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .dataset import CountDataset, TruncatedView, truncate
-from .errors import DegenerateDataError, EmptyTailError, ScanError, UsageError
+from .errors import DegenerateDataError, ScanError, UsageError
 from .kernels import (
     ALPHA_MAX,
     ALPHA_MIN,
@@ -70,15 +69,14 @@ from .kernels import (
     DiscreteDistribution,
     DiscreteLognormalParams,
     HookedPowerLawParams,
+    LognormalWindowSums,
     MU_MAX,
     MU_MIN,
-    NORMALIZATION_TERMS,
     ParamSpec,
     PowerLawParams,
     PowerLawWindowSums,
     SIGMA_MAX,
     SIGMA_MIN,
-    normalization_window,
 )
 
 #: Each family's name and the fewest tail points it fits; every fit also
@@ -175,15 +173,8 @@ def _fit_result(params: ParamSpec, data: TruncatedView, converged: bool,
                 iterations: int, gradient_norm: float) -> FitResult:
     """The ``FitResult`` at ``params``; one distribution serves the result and its NLL."""
     dist = DiscreteDistribution(params, data.x_min)
-    return FitResult(
-        dist=dist,
-        neg_log_likelihood=_dataset_nll(dist, data),
-        n_tail=data.n_tail,
-        x_min=data.x_min,
-        converged=converged,
-        iterations=iterations,
-        gradient_norm_at_exit=gradient_norm,
-    )
+    return FitResult(dist, _dataset_nll(dist, data), data.n_tail, data.x_min, converged,
+                     iterations, gradient_norm)
 
 
 def _projected_gradient_norm(theta, grad, bounds) -> float:
@@ -326,10 +317,7 @@ def _alpha_at(view: TruncatedView, b: float, start: float | None = None) -> _Pro
     :func:`_newton_roots` finds its root in ``[_ALPHA_LO, ALPHA_MAX]``
     from ``start`` (default: the continuous MLE), as one entry in floats.
     A box end whose score points out of the box pins the optimum there.
-
-    The window enters through its sums ``S_k`` of ``w l**k``, with
-    ``l = log((b + x) / (b + x_min))`` and ``w = exp(-alpha l)``: then
-    ``E_p[l] = S_1 / S_0`` and ``Var_p[l] = S_2 / S_0 - E_p[l]**2``.
+    The window enters through its :class:`~citefit.kernels.PowerLawWindowSums`.
     """
     n, sums = view.n_tail, PowerLawWindowSums(b + view.x_min)
     data = float(view.multiplicities @ np.log(b + view.values))
@@ -341,7 +329,7 @@ def _alpha_at(view: TruncatedView, b: float, start: float | None = None) -> _Pro
 
     [(alpha, (grad_a, _, *window), iterations)] = _newton_roots(score, [start], _ALPHA_LO,
                                                                 ALPHA_MAX)
-    pinned, nll = _alpha_solved(alpha, grad_a, window[0], n, data, sums.log_offset)
+    pinned, nll = _alpha_solved(alpha, grad_a, window[0], n, data, sums)
     return _ProfilePoint(alpha, b, pinned, iterations, nll, grad_a, sums, tuple(window))
 
 
@@ -351,11 +339,10 @@ def _alpha_score(n, data, log_edge, z, s1, s2):
     return n * (data / n - log_edge - mean), n * (s2 / z - mean * mean), z, s1, s2
 
 
-def _alpha_solved(alpha, score, z, n, data, log_edge):
-    """Whether a root alpha is pinned, and the objective there: floats in math, arrays in numpy."""
-    log = np.log if isinstance(z, np.ndarray) else math.log  # they differ in the last bits
+def _alpha_solved(alpha, score, z, n, data, sums: PowerLawWindowSums):
+    """Whether a root alpha is pinned, and the objective there, from ``S_0 = z`` at alpha."""
     pinned = (score >= 0.0) & (alpha == _ALPHA_LO) | (score <= 0.0) & (alpha == ALPHA_MAX)
-    return pinned, alpha * data + n * (log(z) - alpha * log_edge)
+    return pinned, alpha * data + n * sums.log_normalizer(alpha, z)
 
 
 def _alpha_roots(held: list, active, alpha):
@@ -435,41 +422,23 @@ class _LognormalPoint(NamedTuple):
     gradient_norm: float  # projected (mu, sigma) gradient
 
 
-def _lognormal_point(data: TruncatedView, scratch, log_window, log_values, mu: float,
-                     sigma: float) -> _LognormalPoint:
+def _lognormal_point(data: TruncatedView, sums: LognormalWindowSums, log_values,
+                     mu: float, sigma: float) -> _LognormalPoint:
     """Objective, centred natural-parameter gradient and Hessian at ``(mu, sigma)``.
 
     The objective is the negative log-likelihood; the density's constant
     factors cancel between the normalizer and the data term, so they are
-    left out of both. ``scratch`` holds four window-sized work rows.
+    left out of both. The window enters through ``sums`` at ``(mu, sigma)``.
     """
-    u, uu, p, work = scratch
-    np.subtract(log_window, mu, out=u)
-    np.multiply(u, u, out=uu)
-    np.multiply(uu, -0.5 / (sigma * sigma), out=p)
-    p -= log_window  # the log weights
-    top = float(p.max())
-    p -= top
-    np.exp(p, out=p)
-    z = float(p.sum())
-    p /= z
-    mean_u, mean_uu = float(p @ u), float(p @ uu)
-    u -= mean_u
-    uu -= mean_uu
+    log_sum, (mean_u, mean_uu), cov = sums(mu, sigma)
     n, counts = data.n_tail, data.multiplicities
-    np.multiply(p, u, out=work)
-    h00, h01 = n * float(work @ u), n * float(work @ uu)
-    np.multiply(p, uu, out=work)
-    hessian = (h00, h01, n * float(work @ uu))
-
     uv = log_values - mu
     data_u, data_uu = float(counts @ uv), float(counts @ (uv * uv))
-    value = n * (top + math.log(z)) + float(counts @ log_values) \
-        + data_uu / (2.0 * sigma * sigma)
+    value = n * log_sum + float(counts @ log_values) + data_uu / (2.0 * sigma * sigma)
     grad = (n * mean_u - data_u, n * mean_uu - data_uu)
     norm = _projected_gradient_norm((mu, sigma), (grad[0] / sigma**2, grad[1] / sigma**3),
                                     _LOGNORMAL_BOUNDS)
-    return _LognormalPoint(mu, sigma, value, grad, hessian, norm)
+    return _LognormalPoint(mu, sigma, value, grad, tuple(n * c for c in cov), norm)
 
 
 def _lognormal_direction(point: _LognormalPoint, n: int):
@@ -578,12 +547,8 @@ def fit_lognormal(data: TruncatedView) -> FitResult:
     if reason := _degenerate(data, "ln"):
         raise DegenerateDataError(reason)
     n, counts, log_values = data.n_tail, data.multiplicities, np.log(data.values)
-    # Window-sized work rows, reused by every evaluation of one fit. Fresh
-    # temporaries would cost page faults whenever the allocator has
-    # returned the freed ones to the system.
-    scratch = np.empty((4, NORMALIZATION_TERMS))
-    point_at = functools.partial(_lognormal_point, data, scratch,
-                                 np.log(normalization_window(data.x_min)), log_values)
+    point_at = functools.partial(_lognormal_point, data, LognormalWindowSums(data.x_min),
+                                 log_values)
     mean = float(counts @ log_values) / n
     std = math.sqrt(float(counts @ (log_values - mean) ** 2) / n)
     mu = min(max(mean, MU_MIN), MU_MAX)
@@ -613,6 +578,7 @@ def fit_lognormal(data: TruncatedView) -> FitResult:
         point = trial
         if decrement <= _FINAL_DECREMENT * n:
             break
+    del point_at  # free the fit's window rows first: the result's normalizer reuses them
     return _fit_result(DiscreteLognormalParams(point.mu, point.sigma), data,
                        point.gradient_norm < LOGNORMAL_GRAD_TOL, iterations,
                        point.gradient_norm)
@@ -672,13 +638,13 @@ def _profile_grids(views: list[TruncatedView]) -> list[_ProfileGrid]:
     x_min = np.repeat([float(view.x_min) for view in views], _PROFILE_GRID)
     b = np.tile(_GRID_B, len(views))
     data = np.concatenate([_grid_data(view) for view in views])
-    held = [range(len(n)), PowerLawWindowSums(b + x_min), n, data]
-    log_edge, start = held[1].log_offset, _continuous_alpha(n, x_min, b, data).tolist()
+    sums = PowerLawWindowSums(b + x_min)
+    held, start = [range(len(n)), sums, n, data], _continuous_alpha(n, x_min, b, data).tolist()
     del x_min, b
     roots = _newton_roots(functools.partial(_alpha_roots, held), start, _ALPHA_LO, ALPHA_MAX)
     alpha, score, z, iterations = map(np.array, zip(*((x, value, z, count)
                                                       for x, (value, _, z), count in roots)))
-    pinned, nll = _alpha_solved(alpha, score, z, n, data, log_edge)
+    pinned, nll = _alpha_solved(alpha, score, z, n, data, sums)
     columns = [column.reshape(shape) for column in (alpha, pinned, iterations, nll, score)]
     return [_ProfileGrid(*row) for row in zip(*columns)]
 
@@ -793,22 +759,19 @@ def ks_distance(dist: DiscreteDistribution, data: TruncatedView) -> float:
 def scan_x_min(data: CountDataset, kind: str, x_min_range) -> XminScanResult:
     """Fit at each truncation candidate and keep the best by KS distance.
 
-    Candidates leaving fewer than ``MIN_SCAN_TAIL`` observations (or only
-    degenerate data) are skipped; if none survive, raises ScanError. The
-    others are fitted together by :func:`fit_many`.
+    Candidates above the largest count are dropped before any is
+    truncated, so the work is bounded by the data. Candidates leaving
+    fewer than ``MIN_SCAN_TAIL`` observations (or only degenerate data)
+    are skipped; if none survive, raises ScanError. The others are fitted
+    together by :func:`fit_many`.
     Ties break toward the smaller ``x_min`` (the larger tail).
     """
     candidates = sorted(set(int(x) for x in x_min_range))
     if not candidates:
         raise UsageError("x_min_range is empty")
-    views = []
-    for x_min in candidates:
-        try:
-            view = truncate(data, x_min)
-        except EmptyTailError:
-            continue
-        if view.n_tail >= MIN_SCAN_TAIL:
-            views.append(view)
+    candidates = candidates[:bisect.bisect_right(candidates, int(data.values[-1]))]
+    views = [view for view in (truncate(data, x_min) for x_min in candidates)
+             if view.n_tail >= MIN_SCAN_TAIL]
     entries = [XminScanEntry(view.x_min, fit, ks_distance(fit.dist, view))
                for view, fit in zip(views, fit_many(views, kind)) if fit is not None]
     if not entries:

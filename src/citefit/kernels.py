@@ -12,18 +12,17 @@ kernel, and ``heavy_tailed``.
 * :class:`DiscreteLognormalParams`: weight given by the continuous
   lognormal density evaluated at integers.
 
-Each family is normalized by dividing by the sum of its weights over the
-truncated integer support, approximated by the sum of the first 10,000
-terms starting at ``x_min``. That windowed sum is the probability-mass
+Each family is normalized by the sum of its weights over the first
+10,000 integers from ``x_min``, the window: the probability-mass
 normalizer throughout (it keeps the objective smooth in the parameters
-and the windowed pmf summing to one exactly); each parameter class gives
-its logarithm, ``log_normalizer(x_min)``. The lognormal sums the window
-term by term. The power-law families take it, with the two moments of
-``log(B + x)`` that their fitter needs, from :class:`PowerLawWindowSums`:
-a 16-term head plus an Euler-Maclaurin tail, in constant time, by one
-code at one offset or at an array of them. For reporting,
-:func:`normalization_constants` also gives a tail-corrected constant,
-which appends the midpoint integral of the
+and the windowed pmf summing to one exactly). Each parameter class gives
+its log, ``log_normalizer(x_min)``, from its family's window-sum class,
+which also gives the moments the family's fitter needs:
+:class:`PowerLawWindowSums` for the power-law families (a 16-term head
+plus an Euler-Maclaurin tail, in constant time, at one offset or an
+array of them) and :class:`LognormalWindowSums` for the lognormal (term
+by term). For reporting, :func:`normalization_constants` also gives a
+tail-corrected constant, which appends the midpoint integral of the
 continuous kernel beyond the window whenever the tail decays slowly
 (``heavy_tailed``: ``alpha <= 2`` for the power laws, ``sigma > 2`` for
 the lognormal); for ``alpha = 2`` at ``x_min = 1`` it reproduces pi**2/6
@@ -92,9 +91,9 @@ class HookedPowerLawParams:
         return -self.alpha * np.log(self.B + x)
 
     def log_normalizer(self, x_min: int) -> float:
-        """Log of the window sum of the weights, ``ln S_0 - alpha ln(B + x_min)``."""
+        """Log of the window sum of the weights, from :class:`PowerLawWindowSums`."""
         sums = PowerLawWindowSums(self.B + x_min)
-        return math.log(sums(self.alpha)[0]) - self.alpha * sums.log_offset
+        return sums.log_normalizer(self.alpha, sums(self.alpha)[0])
 
     def tail_integral(self, edge: float) -> float:
         """Integral of the continuous kernel over ``(edge, inf)``."""
@@ -138,12 +137,14 @@ class DiscreteLognormalParams:
     def log_weight(self, x: np.ndarray) -> np.ndarray:
         """Log of the continuous lognormal density at float points ``x >= 1``."""
         logx = np.log(x)
-        z = (logx - self.mu) / self.sigma
-        return -logx - math.log(self.sigma) - 0.5 * _LOG_2PI - 0.5 * z * z
+        # rounded as LognormalWindowSums rounds its terms: log_pmf shares the normalizer's rounding
+        u = logx - self.mu
+        return u * u * (-0.5 / (self.sigma * self.sigma)) - logx - math.log(self.sigma) - 0.5 * _LOG_2PI
 
     def log_normalizer(self, x_min: int) -> float:
-        """Log of the window sum of the weights, summed term by term."""
-        return log_sum_exp(self.log_weight(normalization_window(x_min)))
+        """Log of the window sum of the weights, from :class:`LognormalWindowSums`."""
+        log_sum = LognormalWindowSums(x_min).log_sum(self.mu, self.sigma)
+        return log_sum - math.log(self.sigma) - 0.5 * _LOG_2PI
 
     def tail_integral(self, edge: float) -> float:
         """Lognormal mass above ``edge``."""
@@ -172,12 +173,6 @@ def _check_alpha(alpha: float):
         raise NonNormalizableError(
             f"alpha must exceed 1 for the tail sum to converge, got {alpha}"
         )
-
-
-def log_sum_exp(a: np.ndarray) -> float:
-    """``log(sum(exp(a)))`` for finite ``a``, shifted by the maximum so no term overflows."""
-    top = float(a.max())
-    return top + math.log(float(np.exp(a - top).sum()))
 
 
 def normalization_window(x_min: int) -> np.ndarray:
@@ -372,6 +367,58 @@ class PowerLawWindowSums:
             s2 += (wd0 - wd1) * ell + w * d2
         return s0, s1, s2
 
+    def log_normalizer(self, alpha, s0):
+        """``ln S_0 - alpha ln y0``, the log of the window sum of ``(y0 + j)**-alpha``; ``s0 = S_0``."""
+        return self._xp.log(s0) - alpha * self.log_offset
+
+
+class LognormalWindowSums:
+    """The lognormal kernel's window sums at ``x_min``, summed term by term.
+
+    With ``u = ln x - mu`` and weights ``w = exp(-u**2 / (2 sigma**2)) / x``
+    on the window, :meth:`log_sum` gives ``ln`` of the sum of ``w`` (the
+    density's ``1 / (sigma sqrt(2 pi))`` left out); a call adds ``E_p`` and
+    ``Cov_p`` of ``(u, u**2)`` under the normalized weights ``p``, for the
+    fitter. Evaluations reuse four window-sized work rows, as fresh ones
+    cost page faults whenever the allocator has returned freed ones.
+    """
+
+    __slots__ = ("log_x", "_rows")
+
+    def __init__(self, x_min: int):
+        self.log_x, *self._rows = np.empty((5, NORMALIZATION_TERMS))
+        np.log(normalization_window(x_min), out=self.log_x)
+
+    def _weights(self, mu: float, sigma: float) -> tuple[float, float]:
+        """Work rows ``u``, ``u**2`` and ``w`` over its largest term; that term's log, the row's sum."""
+        u, uu, w, _ = self._rows
+        np.subtract(self.log_x, mu, out=u)
+        np.multiply(u, u, out=uu)
+        np.multiply(uu, -0.5 / (sigma * sigma), out=w)
+        w -= self.log_x
+        top = float(w.max())
+        w -= top
+        np.exp(w, out=w)
+        return top, float(w.sum())
+
+    def log_sum(self, mu: float, sigma: float) -> float:
+        """The log of the window sum of ``w``."""
+        top, total = self._weights(mu, sigma)
+        return top + math.log(total)
+
+    def __call__(self, mu: float, sigma: float):
+        """The log-sum, ``E_p`` of ``(u, u**2)`` and the (0, 0), (0, 1), (1, 1) entries of ``Cov_p``."""
+        top, total = self._weights(mu, sigma)
+        u, uu, p, work = self._rows
+        p /= total
+        mean_u, mean_uu = float(p @ u), float(p @ uu)
+        u -= mean_u
+        uu -= mean_uu
+        np.multiply(p, u, out=work)
+        c00, c01 = float(work @ u), float(work @ uu)
+        np.multiply(p, uu, out=work)
+        return top + math.log(total), (mean_u, mean_uu), (c00, c01, float(work @ uu))
+
 
 def unnormalized_weight(params: ParamSpec, x):
     """Kernel weight at integer points ``x >= 1``: ``x**-alpha``,
@@ -432,7 +479,9 @@ class DiscreteDistribution:
     def __post_init__(self):
         if self.x_min < 1:
             raise ParameterError(f"x_min must be >= 1, got {self.x_min}")
-        log_norm = self.params.log_normalizer(self.x_min)
+        # the window's sum holds the weight at x_min: no pmf there exceeds one by rounding
+        first = float(self.params.log_weight(np.array([float(self.x_min)]))[0])
+        log_norm = max(self.params.log_normalizer(self.x_min), first)
         object.__setattr__(self, "norm_const", math.exp(log_norm))
         object.__setattr__(self, "_log_norm", log_norm)
 
@@ -466,8 +515,7 @@ class DiscreteDistribution:
 
     def pmf(self, x):
         """Probability mass at ``x >= x_min`` (scalar or array)."""
-        out = np.exp(self.log_pmf(x))
-        return out
+        return np.exp(self.log_pmf(x))
 
     def cdf(self, x):
         """P(X <= x), the pmf summed over ``[x_min, x]``; past the window, its whole mass.

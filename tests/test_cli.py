@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import citefit
+from citefit import fitting
 from citefit.cli import MAX_AXIS_POINTS, _integer_column, main, parse_axis
 from citefit.errors import UsageError
 from citefit.kernels import (
@@ -257,6 +258,27 @@ class TestScanCommand:
         entries = json.loads(out)["entries"]
         assert [e["x_min"] for e in entries] == [2**63 - 2]
         assert 0.0 <= entries[0]["selection_score"] <= 1.0
+
+
+    def test_candidates_past_the_data_are_dropped(self, tmp_path, capsys, monkeypatch):
+        # the CI smoke file: 400 zipf(2.5) draws, the largest 101
+        counts = np.random.default_rng(1).zipf(2.5, 400)
+        assert counts.max() == 101
+        path = tmp_path / "smoke.txt"
+        path.write_text("\n".join(map(str, counts)) + "\n", encoding="utf-8")
+        calls = []
+        truncate = fitting.truncate
+        monkeypatch.setattr(fitting, "truncate",
+                            lambda data, x_min: calls.append(x_min) or truncate(data, x_min))
+        outputs = []
+        for spec in ("1:101:1", "1:100000:1"):
+            calls.clear()
+            code, out, err = main_output(capsys, "scan", "--input", str(path), "--dist", "pl",
+                                         "--x-min-range", spec)
+            assert code == 0, err
+            assert len(calls) <= 101
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
 
 
 class TestCompareCommand:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 from scipy.special import logsumexp
 from scipy.stats import spearmanr
@@ -44,6 +46,7 @@ from citefit.kernels import (
     DiscreteDistribution,
     DiscreteLognormalParams,
     HookedPowerLawParams,
+    LognormalWindowSums,
     PowerLawParams,
     PowerLawWindowSums,
     normalization_window,
@@ -108,6 +111,26 @@ class TestNegLogLikelihood:
         view = truncate(CountDataset((1, 5, 9)), 1)
         with pytest.raises(UsageError):
             neg_log_likelihood(PowerLawParams(2.0), 3, view)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hooked=st.booleans(), alpha=st.floats(ALPHA_MIN, ALPHA_MAX, exclude_min=True),
+           b=st.floats(B_MIN, B_MAX), x_min=st.integers(1, 2**62),
+           steps=st.lists(st.integers(0, 3 * NORMALIZATION_TERMS), max_size=6))
+    # at x_min = 1 and B near -1 the window's first weight is nearly all of it, and
+    # np.log and math.log round log(B + 1) apart: the pmf there came out above one
+    @example(hooked=True, alpha=16.257644506114882, b=-0.9981054119270519, x_min=1, steps=[])
+    def test_power_law_families_never_negative(self, hooked, alpha, b, x_min, steps):
+        # a pmf is at most one, so no NLL is negative; counts run past the window
+        params = HookedPowerLawParams(alpha, b) if hooked else PowerLawParams(alpha)
+        view = truncate(CountDataset([x_min] + [x_min + k for k in steps]), x_min)
+        assert neg_log_likelihood(params, x_min, view) >= 0.0
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "past the window, log_pmf is the kernel over the window's normalizer, so the "
+        "lognormal likelihood is unbounded there (ROADMAP item 2)"))
+    def test_lognormal_never_negative_past_the_window(self):
+        view = truncate(CountDataset([485_165_195] * 10 + [1, 2]), 1)
+        assert neg_log_likelihood(DiscreteLognormalParams(20.0, 1e-6), 1, view) >= 0.0
 
 
 class TestFitPowerLaw:
@@ -306,9 +329,9 @@ class TestLognormalNewton:
         ``(g0, g1) -> (g0, g1 + 2 (mu' - mu) g0)``.
         """
         view = truncate(CountDataset([1, 7, 10_000]), 1)
-        scratch = np.empty((4, NORMALIZATION_TERMS))
+        sums = LognormalWindowSums(1)
         log_window, log_values = np.log(normalization_window(1)), np.log(view.values)
-        point = _lognormal_point(view, scratch, log_window, log_values, mu, sigma)
+        point = _lognormal_point(view, sums, log_values, mu, sigma)
         uw, uv = log_window - mu, log_values - mu
 
         def objective(theta):
@@ -318,7 +341,7 @@ class TestLognormalNewton:
         def gradient(theta):
             var = -0.5 / theta[1]
             moved = mu + theta[0] * var
-            g = _lognormal_point(view, scratch, log_window, log_values, moved, np.sqrt(var)).grad
+            g = _lognormal_point(view, sums, log_values, moved, np.sqrt(var)).grad
             return np.array([g[0], g[1] + 2 * (moved - mu) * g[0]])
 
         theta = np.array([0.0, -0.5 / sigma**2])

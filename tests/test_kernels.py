@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -15,11 +16,13 @@ from citefit.kernels import (
     DiscreteDistribution,
     DiscreteLognormalParams,
     HookedPowerLawParams,
+    LognormalWindowSums,
     NORMALIZATION_TERMS,
     PowerLawParams,
     PowerLawWindowSums,
     normalization_constant,
     normalization_constants,
+    normalization_window,
     unnormalized_weight,
 )
 
@@ -172,6 +175,99 @@ class TestPowerLawWindowSums:
         finally:
             tracemalloc.stop()
         assert peak < 8 * NORMALIZATION_TERMS // 2
+
+
+EPS = sys.float_info.epsilon
+#: The rounding of a sum of the window's terms, relative to the sum of their
+#: magnitudes: adding N = 10,000 terms in any order errs by at most N eps of it
+#: (Higham, Accuracy and Stability of Numerical Algorithms, 2002, eq. 3.5), and
+#: forming each term (an exp, a product or two) adds a few eps more.
+SUM_ROUNDING = (NORMALIZATION_TERMS + 8) * EPS
+
+
+def fsum_lognormal_sums(log_x, mu, sigma):
+    """:class:`LognormalWindowSums` at ``(mu, sigma)`` summed by ``math.fsum``, with bounds.
+
+    Takes the window's ``ln x`` floats and forms each exponent by the same
+    float operations, so both sides share the largest exponent ``top``;
+    the terms are formed elementwise and then summed exactly. Returns the
+    log-sum, ``E_p`` of ``(u, u**2)`` and the covariance entries, and each
+    value's bound on the class's rounding: ``SUM_ROUNDING`` of the sums,
+    plus for each centred value ``a`` the error ``da`` of its centre
+    (``SUM_ROUNDING`` of its mean's magnitude) and of forming it (an eps of
+    ``|a|`` and, for ``u**2``, of ``u**2``), carried through the products as
+    ``E_p[(|a| + da)(|b| + db)] - E_p[|a| |b|]``.
+    """
+    u = log_x - mu
+    uu = u * u
+    exponents = uu * (-0.5 / (sigma * sigma)) - log_x
+    top = float(exponents.max())
+    w = np.array([math.exp(e - top) for e in exponents.tolist()])
+    total = math.fsum(w.tolist())
+
+    def mean(values):
+        return math.fsum((w * values).tolist()) / total
+
+    means = (mean(u), mean(uu))
+    centred = (u - means[0], uu - means[1])
+    errors = (SUM_ROUNDING * mean(np.abs(u)) + EPS * np.abs(centred[0]),
+              SUM_ROUNDING * means[1] + EPS * (np.abs(centred[1]) + uu))
+    cov, cov_tol = [], []
+    for i, j in ((0, 0), (0, 1), (1, 1)):
+        cov.append(mean(centred[i] * centred[j]))
+        exact = mean(np.abs(centred[i] * centred[j]))
+        padded = mean((np.abs(centred[i]) + errors[i]) * (np.abs(centred[j]) + errors[j]))
+        cov_tol.append((1.0 + SUM_ROUNDING) * padded - exact)
+    log_sum = top + math.log(total)
+    tolerances = (SUM_ROUNDING + 2 * EPS * abs(log_sum),
+                  (2 * SUM_ROUNDING * mean(np.abs(u)), 2 * SUM_ROUNDING * means[1]), cov_tol)
+    return (log_sum, means, tuple(cov)), tolerances
+
+
+class TestLognormalWindowSums:
+    # the box's corners and interior, and a mode inside the window at each x_min
+    MUS = (-1000.0, -30.0, 0.0, 2.5, 20.0)
+    SIGMAS = (1e-6, 0.05, 1.0, 7.0, 50.0)
+
+    @staticmethod
+    def grid(x_min):
+        return [(mu, sigma) for mu in TestLognormalWindowSums.MUS + (math.log(x_min + 5000),)
+                for sigma in TestLognormalWindowSums.SIGMAS]
+
+    @pytest.mark.parametrize("x_min", [1, 40, 10_000, 10**12])
+    def test_against_the_explicit_window(self, x_min):
+        sums = LognormalWindowSums(x_min)
+        log_x = np.log(normalization_window(x_min))
+        for mu, sigma in self.grid(x_min):
+            log_sum, means, cov = sums(mu, sigma)
+            assert sums.log_sum(mu, sigma) == log_sum
+            (r_log_sum, r_means, r_cov), (tol, mean_tol, cov_tol) = fsum_lognormal_sums(
+                log_x, mu, sigma)
+            assert abs(log_sum - r_log_sum) <= tol, (mu, sigma)
+            for got, ref, bound in zip(means + cov, r_means + r_cov, mean_tol + tuple(cov_tol)):
+                assert abs(got - ref) <= bound, (mu, sigma)
+
+    @pytest.mark.parametrize("x_min", [1, 40, 10_000, 10**12])
+    def test_log_normalizer_against_the_window_formula_it_replaced(self, x_min):
+        # the log-sum-exp of the density's logs over the window, each formed as
+        # -ln x - ln sigma - ln(2 pi) / 2 - z**2 / 2 with z = (ln x - mu) / sigma;
+        # within 1e-13 of the largest of the magnitudes it is formed from
+        log_x = np.log(normalization_window(x_min))
+        for mu, sigma in self.grid(x_min):
+            z = (log_x - mu) / sigma
+            terms = -log_x - math.log(sigma) - 0.5 * math.log(2 * math.pi) - 0.5 * z * z
+            top = float(terms.max())
+            old = top + math.log(float(np.exp(terms - top).sum()))
+            size = max(abs(old), abs(top), abs(math.log(sigma)) + 0.5 * math.log(2 * math.pi))
+            new = DiscreteLognormalParams(mu, sigma).log_normalizer(x_min)
+            assert abs(new - old) <= 1e-13 * size, (mu, sigma)
+
+    def test_a_call_leaves_the_next_unchanged(self):
+        sums = LognormalWindowSums(3)
+        first = sums(2.0, 1.0)
+        sums(-1000.0, 50.0)
+        assert sums(2.0, 1.0) == first
+        assert sums.log_sum(2.0, 1.0) == first[0]
 
 
 class TestNormalization:
