@@ -216,12 +216,13 @@ def cmd_analyze(args):
     from .fitting import fit_kind, scan_x_min
 
     data = load_counts(args.input, args.input_format)
-    flags = []
+    flags, fits = [], {}
     if args.x_min == "all":
         policy, x_min = "all-cited", 1
     elif args.x_min == "scan":
         policy = f"scan-{args.scan_dist}"
-        x_min = scan_x_min(data, args.scan_dist, _scan_candidates(args, data)).best_x_min
+        best = scan_x_min(data, args.scan_dist, _scan_candidates(args, data)).best
+        x_min, fits[args.scan_dist] = best.x_min, best.fit  # the scan fitted this view already
     else:
         try:
             x_min = int(args.x_min)
@@ -230,10 +231,9 @@ def cmd_analyze(args):
         policy = "fixed"
     view = truncate(data, x_min)
 
-    fits: dict[str, FitResult | None] = {}
     for kind in KINDS:
         try:
-            fits[kind] = fit_kind(view, kind)
+            fits[kind] = fits.get(kind) or fit_kind(view, kind)
             if not fits[kind].converged:
                 flags.append(f"{kind}:non-convergent")
                 _diag(f"warning: {kind} fit did not converge")

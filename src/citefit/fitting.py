@@ -345,17 +345,16 @@ def _alpha_solved(alpha, score, z, n, data, sums: PowerLawWindowSums):
     return pinned, alpha * data + n * sums.log_normalizer(alpha, z)
 
 
-def _alpha_roots(held: list, active, alpha):
+def _alpha_roots(sums: PowerLawWindowSums, n, data, active, alpha):
     """:func:`_newton_roots`' evaluate for alpha at many offsets, one array pass a round.
 
-    ``held`` is ``[entries, sums, n, data]`` of the last round's entries. It
-    is cut to the ``active`` ones, so its memory shrinks with them. Returns
-    each active entry's score at its alpha, the score's derivative and ``S_0``.
+    ``sums``, ``n`` and ``data`` hold every entry, and the ``active`` ones
+    are taken from them unless all are active (which then come in order).
+    Returns each one's score at its alpha, the score's derivative and ``S_0``.
     """
-    if len(active) < len(held[0]):
-        keep = np.searchsorted(held[0], active)
-        held[:] = active, held[1].take(keep), held[2][keep], held[3][keep]
-    _, sums, n, data = held
+    if len(active) < len(n):
+        index = np.array(active)
+        sums, n, data = sums.take(index), n[index], data[index]
     columns = _alpha_score(n, data, sums.log_offset, *sums(np.array(alpha)))[:3]
     return zip(*(column.tolist() for column in columns))
 
@@ -578,7 +577,6 @@ def fit_lognormal(data: TruncatedView) -> FitResult:
         point = trial
         if decrement <= _FINAL_DECREMENT * n:
             break
-    del point_at  # free the fit's window rows first: the result's normalizer reuses them
     return _fit_result(DiscreteLognormalParams(point.mu, point.sigma), data,
                        point.gradient_norm < LOGNORMAL_GRAD_TOL, iterations,
                        point.gradient_norm)
@@ -639,9 +637,8 @@ def _profile_grids(views: list[TruncatedView]) -> list[_ProfileGrid]:
     b = np.tile(_GRID_B, len(views))
     data = np.concatenate([_grid_data(view) for view in views])
     sums = PowerLawWindowSums(b + x_min)
-    held, start = [range(len(n)), sums, n, data], _continuous_alpha(n, x_min, b, data).tolist()
-    del x_min, b
-    roots = _newton_roots(functools.partial(_alpha_roots, held), start, _ALPHA_LO, ALPHA_MAX)
+    roots = _newton_roots(functools.partial(_alpha_roots, sums, n, data),
+                          _continuous_alpha(n, x_min, b, data).tolist(), _ALPHA_LO, ALPHA_MAX)
     alpha, score, z, iterations = map(np.array, zip(*((x, value, z, count)
                                                       for x, (value, _, z), count in roots)))
     pinned, nll = _alpha_solved(alpha, score, z, n, data, sums)

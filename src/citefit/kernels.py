@@ -136,10 +136,8 @@ class DiscreteLognormalParams:
 
     def log_weight(self, x: np.ndarray) -> np.ndarray:
         """Log of the continuous lognormal density at float points ``x >= 1``."""
-        logx = np.log(x)
-        # rounded as LognormalWindowSums rounds its terms: log_pmf shares the normalizer's rounding
-        u = logx - self.mu
-        return u * u * (-0.5 / (self.sigma * self.sigma)) - logx - math.log(self.sigma) - 0.5 * _LOG_2PI
+        log_w = _lognormal_terms(np.log(x), self.mu, self.sigma)[2]
+        return log_w - math.log(self.sigma) - 0.5 * _LOG_2PI
 
     def log_normalizer(self, x_min: int) -> float:
         """Log of the window sum of the weights, from :class:`LognormalWindowSums`."""
@@ -372,6 +370,19 @@ class PowerLawWindowSums:
         return self._xp.log(s0) - alpha * self.log_offset
 
 
+def _lognormal_terms(log_x: np.ndarray, mu: float, sigma: float):
+    """Rows ``u = ln x - mu``, ``u**2`` and the log weight ``-u**2 / (2 sigma**2) - ln x``.
+
+    The window sums and ``DiscreteLognormalParams.log_weight`` both take
+    their exponent from here, so ``log_pmf`` shares the normalizer's rounding.
+    """
+    u = log_x - mu
+    uu = u * u
+    log_w = uu * (-0.5 / (sigma * sigma))
+    log_w -= log_x
+    return u, uu, log_w
+
+
 class LognormalWindowSums:
     """The lognormal kernel's window sums at ``x_min``, summed term by term.
 
@@ -379,45 +390,36 @@ class LognormalWindowSums:
     on the window, :meth:`log_sum` gives ``ln`` of the sum of ``w`` (the
     density's ``1 / (sigma sqrt(2 pi))`` left out); a call adds ``E_p`` and
     ``Cov_p`` of ``(u, u**2)`` under the normalized weights ``p``, for the
-    fitter. Evaluations reuse four window-sized work rows, as fresh ones
-    cost page faults whenever the allocator has returned freed ones.
+    fitter.
     """
 
-    __slots__ = ("log_x", "_rows")
+    __slots__ = ("log_x",)
 
     def __init__(self, x_min: int):
-        self.log_x, *self._rows = np.empty((5, NORMALIZATION_TERMS))
-        np.log(normalization_window(x_min), out=self.log_x)
+        self.log_x = np.log(normalization_window(x_min))
 
-    def _weights(self, mu: float, sigma: float) -> tuple[float, float]:
-        """Work rows ``u``, ``u**2`` and ``w`` over its largest term; that term's log, the row's sum."""
-        u, uu, w, _ = self._rows
-        np.subtract(self.log_x, mu, out=u)
-        np.multiply(u, u, out=uu)
-        np.multiply(uu, -0.5 / (sigma * sigma), out=w)
-        w -= self.log_x
+    def _weights(self, mu: float, sigma: float):
+        """Rows ``u``, ``u**2`` and ``w`` over its largest term, the row's sum, and the log-sum."""
+        u, uu, w = _lognormal_terms(self.log_x, mu, sigma)
         top = float(w.max())
         w -= top
         np.exp(w, out=w)
-        return top, float(w.sum())
+        total = float(w.sum())
+        return u, uu, w, total, top + math.log(total)
 
     def log_sum(self, mu: float, sigma: float) -> float:
         """The log of the window sum of ``w``."""
-        top, total = self._weights(mu, sigma)
-        return top + math.log(total)
+        return self._weights(mu, sigma)[4]
 
     def __call__(self, mu: float, sigma: float):
         """The log-sum, ``E_p`` of ``(u, u**2)`` and the (0, 0), (0, 1), (1, 1) entries of ``Cov_p``."""
-        top, total = self._weights(mu, sigma)
-        u, uu, p, work = self._rows
+        u, uu, p, total, log_sum = self._weights(mu, sigma)
         p /= total
         mean_u, mean_uu = float(p @ u), float(p @ uu)
         u -= mean_u
         uu -= mean_uu
-        np.multiply(p, u, out=work)
-        c00, c01 = float(work @ u), float(work @ uu)
-        np.multiply(p, uu, out=work)
-        return top + math.log(total), (mean_u, mean_uu), (c00, c01, float(work @ uu))
+        pu, puu = p * u, p * uu
+        return log_sum, (mean_u, mean_uu), (float(pu @ u), float(pu @ uu), float(puu @ uu))
 
 
 def unnormalized_weight(params: ParamSpec, x):

@@ -343,6 +343,31 @@ class TestAnalyzeCommand:
         assert row["policy"] == "scan-pl"
         assert row["x_min"] in (1, 2, 3)
 
+    @pytest.mark.parametrize("kind", ["pl", "ln", "hooked"])
+    def test_scan_row_is_the_fixed_row_at_its_x_min(self, tmp_path, capsys, monkeypatch, kind):
+        # the scan family's fit at the chosen x_min is the scan's own, not a second
+        # fit; fit_many calls fit_kind once a view for pl and ln, and not for hooked
+        path = write_counts(tmp_path, HookedPowerLawParams(3.0, 10.0), 500, seed=11)
+        calls = []
+        fit_kind = fitting.fit_kind
+
+        def counted(view, fitted):
+            calls.append((view.x_min, fitted))
+            return fit_kind(view, fitted)
+
+        monkeypatch.setattr(fitting, "fit_kind", counted)
+        code, out, _ = main_output(capsys, "analyze", "--input", path, "--x-min", "scan",
+                                   "--scan-dist", kind, "--x-min-range", "1:6:1")
+        assert code == 0
+        scanned = json.loads(out)
+        assert calls.count((scanned["x_min"], kind)) == (kind != "hooked")
+        code, out, _ = main_output(capsys, "analyze", "--input", path,
+                                   "--x-min", str(scanned["x_min"]))
+        assert code == 0
+        fixed = json.loads(out)
+        assert (scanned.pop("policy"), fixed.pop("policy")) == (f"scan-{kind}", "fixed")
+        assert scanned == fixed
+
     def test_fixed_policy(self, tmp_path, capsys):
         path = write_counts(tmp_path, PowerLawParams(2.5), 500, seed=10)
         code, out, _ = main_output(capsys, "analyze", "--input", path, "--x-min", "3")

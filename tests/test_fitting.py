@@ -20,6 +20,7 @@ from citefit.fitting import (
     _GRID_B,
     _GRID_VIEWS,
     _alpha_at,
+    _alpha_roots,
     _lognormal_point,
     _newton_roots,
     _offset,
@@ -623,6 +624,34 @@ class TestFitMany:
                 assert fit is None
                 continue
             assert fit_fields(fit) == fit_fields(alone)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_alpha_evaluate_is_pure(self, draw):
+        # any subset of the entries, in any order (all of them in order, as
+        # _newton_roots passes them), after any other evaluation, gives each
+        # entry's floats of the full batch bit for bit, and changes no argument
+        rng = np.random.default_rng(11)
+        size = 12
+        offsets = rng.uniform(1e-3, 1e4, size)
+        n = rng.integers(3, 5000, size).astype(float)
+        data = n * (np.log(offsets) + rng.uniform(0.05, 3.0, size))
+        alpha = rng.uniform(ALPHA_MIN + 1e-9, ALPHA_MAX, size).tolist()
+        sums = PowerLawWindowSums(offsets)
+        arguments = [getattr(sums, name) for name in PowerLawWindowSums.__slots__
+                     if name != "_xp"] + [n, data]
+        kept = [array.copy() for array in arguments]
+        full = list(_alpha_roots(sums, n, data, tuple(range(size)), tuple(alpha)))
+        entries = st.lists(st.integers(0, size - 1), min_size=1, max_size=size, unique=True)
+        before, active = draw.draw(entries), draw.draw(entries)
+        if len(active) == size:
+            active.sort()
+        list(_alpha_roots(sums, n, data, tuple(before), tuple(alpha[i] + 1.0 for i in before)))
+        got = list(_alpha_roots(sums, n, data, tuple(active), tuple(alpha[i] for i in active)))
+        assert got == [full[i] for i in active]
+        for array, copy in zip(arguments, kept):
+            assert np.array_equal(array, copy)
+        assert list(_alpha_roots(sums, n, data, tuple(range(size)), tuple(alpha))) == full
 
     def test_grid_matches_the_float_profile(self):
         # the scalar solve at each grid offset, cold from the continuous MLE, is

@@ -263,11 +263,31 @@ class TestLognormalWindowSums:
             assert abs(new - old) <= 1e-13 * size, (mu, sigma)
 
     def test_a_call_leaves_the_next_unchanged(self):
-        sums = LognormalWindowSums(3)
-        first = sums(2.0, 1.0)
-        sums(-1000.0, 50.0)
-        assert sums(2.0, 1.0) == first
-        assert sums.log_sum(2.0, 1.0) == first[0]
+        # two window sums at different x_min, called in turn at the box's corners,
+        # forwards and then backwards: every call gives its first value, and
+        # log_sum that value's log-sum, bit for bit
+        corners = [(mu, sigma) for mu in (-1000.0, 20.0) for sigma in (1e-6, 50.0)]
+        both = [LognormalWindowSums(3), LognormalWindowSums(10**6)]
+        calls = [(sums, corner) for corner in corners for sums in both]
+        first = [sums(*corner) for sums, corner in calls]
+        for (sums, corner), value in reversed(list(zip(calls, first))):
+            assert sums(*corner) == value
+            assert sums.log_sum(*corner) == value[0]
+
+    @pytest.mark.parametrize("x_min", [1, 40, 10_000, 10**12])
+    def test_log_weight_is_the_window_row(self, x_min):
+        # log_pmf and the normalizer round alike: the window sums' weights are
+        # exp of the log weights -u**2 / (2 sigma**2) - ln x, u = ln x - mu, over
+        # their largest, and log_weight over the window is that row less the
+        # density's constants, bit for bit
+        sums = LognormalWindowSums(x_min)
+        window = normalization_window(x_min)
+        for mu, sigma in self.grid(x_min):
+            u = sums.log_x - mu
+            row = u * u * (-0.5 / (sigma * sigma)) - sums.log_x
+            assert np.array_equal(sums._weights(mu, sigma)[2], np.exp(row - row.max()))
+            got = DiscreteLognormalParams(mu, sigma).log_weight(window)
+            assert np.array_equal(got, row - math.log(sigma) - 0.5 * math.log(2 * math.pi))
 
 
 class TestNormalization:
