@@ -7,20 +7,23 @@ reports can state how many were excluded.
 A dataset is its sorted histogram, built once: the distinct values and
 their multiplicities, as read-only ``int64`` arrays. Every statistic the
 package computes depends only on the multiset, so file order is not
-kept, and memory grows with the number of distinct values, not rows. A
-truncation is an offset into the histogram (a ``searchsorted``), never a
-copy. Datasets are immutable after construction and safe to share.
+kept, and memory grows with the number of distinct values, not rows.
+Counts no larger than the row count (or 2**16) are tallied by value in
+one pass; larger ones are sorted. A truncation is an offset into the
+histogram (a ``searchsorted``), never a copy. Datasets are immutable
+after construction and safe to share.
 
 A plain file whose every byte is an ASCII digit or a line end (``\\n`` or
 ``\\r\\n``), with at most 18 digits a line, is parsed from its bytes by
-numpy, in blocks of about 1 MiB cut after a newline: every such line is
-a count below 2**63. Any other file is decoded as UTF-8 and read line by
-line: ``int()`` over the lines straight into an array, and a second pass
-that names the first bad line only when that fails. A CSV file is read
-row by row. Both paths read a line as ``int()`` reads it. A 10^6-row
-plain file (2.5 MB) loads in about 60 ms with a traced peak of 27 MB;
-with a space after each count it is read line by line, in 0.41-0.47 s
-with a peak of 83 MB (2 cores, numpy 2.4).
+numpy, in blocks of about 32 KiB cut after a newline, into one array:
+every such line is a count below 2**63. Any other file is decoded as
+UTF-8 and read line by line: ``int()`` over the lines straight into an
+array, and a second pass that names the first bad line only when that
+fails. A CSV file is read row by row. Both paths read a line as
+``int()`` reads it. A 10^6-row plain file (2.5 MB, a tenth of it zeros)
+loads in 22-47 ms in a fresh process with a traced peak of 11 MB; with a
+space after each count it is read line by line, in 0.22-0.26 s with a
+peak of 83 MB (2 cores, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ CSV_COLUMN = "citations"
 
 #: Counts must be below this bound to be held as ``int64``.
 COUNT_LIMIT = 2**63
+#: A histogram is tallied by value when its largest count is at most this
+#: or the row count, whichever is larger; otherwise it is sorted.
+_DENSE_BINS = 2**16
 
 
 class CountDataset:
@@ -54,16 +60,43 @@ class CountDataset:
         rows = _as_int64(counts)
         if rows.size == 0:
             raise EmptyDatasetError("dataset has no counts")
-        values, multiplicities = np.unique(rows, return_counts=True)
+        values, multiplicities = _histogram(rows)
         if values[0] < 1:
             raise UsageError("counts must be positive integers")
-        multiplicities = multiplicities.astype(np.int64, copy=False)
+        self._hold(values, multiplicities, source_label, zeros_dropped)
+
+    @classmethod
+    def _of_histogram(cls, values, multiplicities, source_label, zeros_dropped):
+        """The dataset of a histogram of positive counts built by ``_histogram``."""
+        data = cls.__new__(cls)
+        data._hold(values, multiplicities, source_label, zeros_dropped)
+        return data
+
+    def _hold(self, values, multiplicities, source_label, zeros_dropped):
         values.flags.writeable = multiplicities.flags.writeable = False
         self.values = values
         self.multiplicities = multiplicities
         self.n = int(multiplicities.sum())
         self.source_label = source_label
         self.zeros_dropped = zeros_dropped
+
+
+def _histogram(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``int64`` ``rows``, ascending, and how often each occurs.
+
+    Counts no larger than the row count (or 2**16) are tallied by value in
+    a table of ``top + 1`` bins, one pass and no sort, with memory at most
+    8 bytes a row; larger or negative ones are sorted (``np.unique``),
+    which serves any ``int64``. Both give the same arrays, as ``int64``.
+    """
+    top = rows.max()
+    if rows.min() >= 0 and top <= max(rows.size, _DENSE_BINS):
+        table = np.bincount(rows)
+        values = np.flatnonzero(table)
+        multiplicities = table[values]  # a copy: no view of the table outlives the call
+    else:
+        values, multiplicities = np.unique(rows, return_counts=True)
+    return values.astype(np.int64, copy=False), multiplicities.astype(np.int64, copy=False)
 
 
 def _as_int64(counts) -> np.ndarray:
@@ -131,8 +164,8 @@ def load_counts(path, fmt: str = PLAIN, source_label: str | None = None) -> Coun
         column named ``citations``. A line is read as Python's ``int()``
         reads it. A plain file of ASCII digit lines of at most 18
         digits, ending in ``\\n`` or ``\\r\\n``, is parsed from its bytes
-        by numpy (about 60 ms per 10^6 rows); any other file is decoded
-        and parsed line by line, with the same grammar.
+        by numpy (22-47 ms per 10^6 rows); any other file is decoded and
+        parsed line by line, with the same grammar.
     source_label : str, optional
         Provenance label; defaults to the file's base name.
 
@@ -140,7 +173,7 @@ def load_counts(path, fmt: str = PLAIN, source_label: str | None = None) -> Coun
     -------
     CountDataset
         The histogram of the positive counts; zeros are counted in
-        ``zeros_dropped``.
+        ``zeros_dropped``, read from the histogram of all the rows.
 
     Raises
     ------
@@ -161,11 +194,13 @@ def load_counts(path, fmt: str = PLAIN, source_label: str | None = None) -> Coun
         raw = np.array(_parse_csv(_decode(data)), dtype=np.int64)
     else:
         raise UsageError(f"unknown format {fmt!r}")
-    counts = raw[raw > 0]
-    zeros = raw.size - counts.size
-    if counts.size == 0:
+    values, multiplicities = _histogram(raw)
+    zeros = int(multiplicities[0]) if values[0] == 0 else 0
+    if zeros:
+        values, multiplicities = values[1:], multiplicities[1:]
+    if values.size == 0:
         raise EmptyDatasetError(f"{label}: no positive counts after dropping {zeros} zero(s)")
-    return CountDataset(counts, label, zeros)
+    return CountDataset._of_histogram(values, multiplicities, label, zeros)
 
 
 def _decode(data: bytes) -> str:
@@ -178,11 +213,13 @@ def _decode(data: bytes) -> str:
                          line_number=lineno) from None
 
 
-#: Bytes per block of the digit-line parser, cut after a newline.
-_BLOCK_BYTES = 1 << 20
+#: Bytes per block of the digit-line parser, cut after a newline. Small, so
+#: that a block's per-line arrays stay in cache and their memory is reused
+#: by the next block instead of being mapped (and faulted in) afresh.
+_BLOCK_BYTES = 1 << 15
 #: The longest line the digit-line parser reads: 10**18 - 1 < 2**63.
 _MAX_DIGITS = 18
-_LF, _CR, _ZERO = ord("\n"), ord("\r"), ord("0")
+_LF, _CR, _ZERO, _NINE = ord("\n"), ord("\r"), ord("0"), ord("9")
 
 
 def _parse_digit_lines(data: bytes) -> np.ndarray | None:
@@ -193,49 +230,61 @@ def _parse_digit_lines(data: bytes) -> np.ndarray | None:
     every line is a count ``int()`` accepts and below 2**63. The file
     goes through in blocks of about ``_BLOCK_BYTES`` cut after a newline.
     """
-    blocks = []
-    start = 0
+    counts = np.empty(data.count(b"\n") + 1, np.int64)  # a count a line at most
+    size = start = 0
     while start < len(data):
         end = len(data)
         if end - start > _BLOCK_BYTES:
             end = data.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
             if end == 0:  # no newline in a whole block: not a line of digits
                 return None
-        values = _digit_block(np.frombuffer(data, np.uint8, end - start, start))
-        if values is None:
+        found = _digit_block(np.frombuffer(data, np.uint8, end - start, start), counts[size:])
+        if found is None:
             return None
-        blocks.append(values)
+        size += found
         start = end
-    counts = np.concatenate(blocks) if blocks else np.empty(0, np.int64)
-    return counts if counts.size else None  # no value at all: the fallback names the error
+    return counts[:size] if size else None  # no value at all: the fallback names the error
 
 
-def _digit_block(b: np.ndarray) -> np.ndarray | None:
-    """``_parse_digit_lines`` on one block that ends a line (or ends the file)."""
-    digits = b - np.uint8(_ZERO)  # wraps for bytes below "0", so non-digits are >= 10
-    ends = np.flatnonzero(digits >= 10)  # every line end, \r and \n alike
-    cr = np.flatnonzero(b == _CR)
-    if np.count_nonzero(b == _LF) + cr.size != ends.size:
+def _digit_block(b: np.ndarray, out: np.ndarray) -> int | None:
+    """``_parse_digit_lines`` on one block that ends a line (or ends the file).
+
+    Writes the block's counts to the head of ``out`` and returns how many.
+    """
+    if b.max() > _NINE:
+        return None  # a byte past "9": not a digit nor a line end
+    ends = np.flatnonzero(b < _ZERO)  # each must end a line: a \n, or a \r before one
+    marks = b[ends]
+    cr = np.flatnonzero(marks == _CR)
+    if np.count_nonzero(marks == _LF) + cr.size != ends.size:
         return None  # a byte that is neither a digit nor a line end
+    cr = ends[cr]
     if cr.size and (cr[-1] + 1 == b.size or not np.all(b[cr + 1] == _LF)):
         return None  # a \r not followed by \n
     if b[-1] != _LF:
         ends = np.append(ends, b.size)  # the file's last line, without its newline
-    lengths = np.diff(ends, prepend=-1) - 1
-    if lengths.max() > _MAX_DIGITS:
+    lengths = ends.copy()
+    lengths[1:] -= ends[:-1]
+    lengths[1:] -= 1
+    longest = int(lengths.max())
+    if longest > _MAX_DIGITS:
         return None
-    ends, lengths = ends[lengths > 0], lengths[lengths > 0]
-    # lines of one length at a time, one digit column at a time
-    values = np.empty(ends.size, np.int64)
-    for length in range(1, int(lengths.max(initial=0)) + 1):
-        rows = np.flatnonzero(lengths == length)
-        first = ends[rows] - length
-        value = digits[first].astype(np.int64)
-        for column in range(1, length):
-            value *= 10
-            value += digits[first + column]
-        values[rows] = value
-    return values
+    if lengths.min() == 0:  # blank lines carry no value
+        keep = lengths > 0
+        ends, lengths = ends[keep], lengths[keep]
+    # the last digit of every line, then each column leftward over the lines that reach it
+    values = out[:ends.size]
+    ends -= 1
+    values[...] = b[ends]
+    values -= _ZERO
+    rows = np.flatnonzero(lengths > 1)
+    for column in range(1, longest):
+        digits = b[ends[rows] - column].astype(np.int64)
+        digits -= _ZERO
+        digits *= 10**column
+        values[rows] += digits
+        rows = rows[lengths[rows] > column + 1]
+    return values.size
 
 
 def _parse_plain(text: str) -> np.ndarray:

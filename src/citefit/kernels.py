@@ -52,6 +52,11 @@ from .errors import NonNormalizableError, ParameterError, SupportError
 
 #: Number of terms summed for the normalization constant.
 NORMALIZATION_TERMS = 10_000
+#: Buckets of the sampler's guide table. A power of two, so that a draw's
+#: bucket ``floor(u * K)`` and each bucket's edge ``k / K`` are exact.
+_GUIDE_BUCKETS = 2**14
+#: Draws the sampler looks up at a time.
+_SAMPLE_BLOCK = 2**13
 #: Leading window terms that ``PowerLawWindowSums`` adds term by term.
 _HEAD_TERMS = 16
 #: ``B_2m / (2m)!`` for m = 1..4, the Euler-Maclaurin coefficients of the
@@ -487,17 +492,38 @@ class DiscreteDistribution:
         object.__setattr__(self, "norm_const", math.exp(log_norm))
         object.__setattr__(self, "_log_norm", log_norm)
 
+    def _cumulative(self, terms: int) -> np.ndarray:
+        """Cumulative pmf over the window's first ``terms`` points.
+
+        ``np.cumsum`` adds in order, so a shorter table is the head of a
+        longer one, bit for bit.
+        """
+        log_weight = self.params.log_weight(normalization_window(self.x_min)[:terms])
+        return np.cumsum(np.exp(log_weight - self._log_norm))
+
     @cached_property
     def _window_cum(self) -> np.ndarray:
-        """Cumulative pmf over the window, built on first use.
-
-        Only ``cdf``, ``ccdf`` and ``sample`` read it; a distribution built
-        for its normalizer alone never pays for it.
-        """
-        log_weight = self.params.log_weight(normalization_window(self.x_min))
-        cum = np.cumsum(np.exp(log_weight - self._log_norm))
+        """Cumulative pmf over the whole window, built on the first ``sample``."""
+        cum = self._cumulative(NORMALIZATION_TERMS)
         cum.flags.writeable = False
         return cum
+
+    @cached_property
+    def _guide(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sampler's guide table over ``_window_cum`` (Chen and Asau, 1974).
+
+        For each of ``_GUIDE_BUCKETS`` equal buckets ``[k/K, (k+1)/K)`` of
+        the unit interval: ``start``, how many table entries lie below the
+        bucket; ``first``, the first entry at or past its left edge (inf
+        past the table's end); and ``crowded``, whether it holds more than
+        one entry.
+        """
+        cum = self._window_cum
+        edges = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS  # exact: K is a power of two
+        bounds = np.searchsorted(cum, edges, side="left")
+        start = bounds[:-1]
+        first = np.append(cum, np.inf)[start]
+        return start, first, np.diff(bounds) > 1
 
     def _validate_support(self, x) -> tuple[np.ndarray, bool]:
         arr = np.asarray(x)
@@ -522,11 +548,12 @@ class DiscreteDistribution:
     def cdf(self, x):
         """P(X <= x), the pmf summed over ``[x_min, x]``; past the window, its whole mass.
 
-        No point past ``x`` is formed, so ``x`` may be the largest ``int64``.
+        The pmf is summed only up to the largest ``x`` (at most the
+        window's end), so ``x`` may be the largest ``int64``.
         """
         arr, scalar = self._validate_support(x)
-        cum = self._window_cum
-        out = cum[np.minimum(arr.astype(np.int64) - self.x_min, len(cum) - 1)]
+        idx = np.minimum(arr.astype(np.int64) - self.x_min, NORMALIZATION_TERMS - 1)
+        out = self._cumulative(int(idx.max(initial=0)) + 1)[idx]
         return float(out[0]) if scalar else out
 
     def ccdf(self, x):
@@ -534,22 +561,32 @@ class DiscreteDistribution:
 
         The pmf sums to one over the normalization window, so beyond the
         window the ccdf stays at the window's own tail,
-        ``max(1 - cum[-1], 0)``: the cost does not depend on ``x``.
+        ``max(1 - cum[-1], 0)``. The pmf is summed only up to the largest
+        ``x``, at most over the window, so the cost does not grow with ``x``.
         """
         arr, scalar = self._validate_support(x)
-        cum = self._window_cum
-        idx = np.minimum(arr.astype(np.int64) - self.x_min, len(cum))
+        idx = np.minimum(arr.astype(np.int64) - self.x_min, NORMALIZATION_TERMS)
+        cum = self._cumulative(max(int(idx.max(initial=0)), 1))
         before = np.where(idx > 0, cum[np.maximum(idx, 1) - 1], 0.0)
         out = np.maximum(1.0 - before, 0.0)
         return float(out[0]) if scalar else out
 
     def sample(self, n: int, seed) -> np.ndarray:
-        """Draw ``n`` i.i.d. values on the window by inverse-CDF search.
+        """Draw ``n`` i.i.d. values on the window by inverse-CDF lookup.
 
-        A uniform draw past the window's cumulative mass, which rounding
-        can leave short of one, takes the window's last point. Output is
-        a fixed function of ``seed``. The draws are ``int64``, so the
-        window's last point, ``x_min + 9999``, may be at most ``2**63 - 1``.
+        A uniform draw ``u`` takes the first window point whose cumulative
+        mass reaches ``u``, found through a guide table (Chen and Asau,
+        1974; Devroye, 1986, ch. III): ``u``'s bucket of ``2**14`` equal
+        buckets of [0, 1) gives the table entries below it, and one
+        comparison decides a bucket that holds at most one entry; the
+        draws in buckets that hold more take a binary search. Either way
+        the point is the one ``searchsorted`` finds over the whole table.
+        A draw past the window's cumulative mass, which rounding can leave
+        short of one, takes the window's last point. Draws are looked up
+        ``_SAMPLE_BLOCK`` at a time, so memory beyond the result stays
+        bounded. Output is a fixed function of ``seed``. The draws are
+        ``int64``, so the window's last point, ``x_min + 9999``, may be at
+        most ``2**63 - 1``.
 
         Parameters
         ----------
@@ -564,8 +601,22 @@ class DiscreteDistribution:
             raise ParameterError(
                 f"x_min must be at most 2**63 - {NORMALIZATION_TERMS} for int64 draws, "
                 f"got {self.x_min}")
-        cum = self._window_cum
-        idx = np.searchsorted(cum, np.random.default_rng(seed).random(n), side="left")
-        np.minimum(idx, len(cum) - 1, out=idx)
-        idx += self.x_min
-        return idx
+        rng = np.random.default_rng(seed)
+        draws = np.empty(n, np.int64)
+        uniform = np.empty(min(n, _SAMPLE_BLOCK))
+        for lo in range(0, n, _SAMPLE_BLOCK):
+            u = rng.random(out=uniform[:min(_SAMPLE_BLOCK, n - lo)])
+            self._lookup(u, draws[lo:lo + u.size])
+        np.minimum(draws, NORMALIZATION_TERMS - 1, out=draws)
+        draws += self.x_min
+        return draws
+
+    def _lookup(self, u: np.ndarray, out: np.ndarray):
+        """``searchsorted(_window_cum, u, "left")`` for uniforms ``u``, into ``out``."""
+        start, first, crowded = self._guide
+        bucket = (u * _GUIDE_BUCKETS).astype(np.intp)
+        np.take(start, bucket, out=out)
+        out += first[bucket] < u
+        hard = np.flatnonzero(crowded[bucket])
+        if hard.size:
+            out[hard] = np.searchsorted(self._window_cum, u[hard], side="left")

@@ -1,5 +1,6 @@
 import csv
 import gc
+import hashlib
 import io
 import json
 import subprocess
@@ -115,6 +116,36 @@ class TestSample:
             out_path = tmp_path / f"sample.{fmt}"
             assert main([*args, "--format", fmt, "--output", str(out_path)]) == 0
             assert out_path.read_bytes() == text.encode("utf-8")
+
+    # sha256 of stdout for -n 100000 --seed 3, as an earlier version wrote them:
+    # the draws must not change from one version to the next
+    PINNED = {
+        ("pl", "json"): "73dc468bf21ddff3334e4b908fb1dd21dd525e99afbc787ab8fa5261c29d5dfe",
+        ("pl", "csv"): "661c77e23a9eb497109b7d350138389c103b2aa6d603fc784ac1d08d4bc63ee5",
+        ("pl-heavy", "json"): "86de83bec044e89efbfead897b92ddca890fc88ec2ef1707a0ebc78fab25a2cd",
+        ("pl-heavy", "csv"): "7b981816d4c9574d5b3069283a2eab49491a3f37843803d3338543549dfe1299",
+        ("hooked", "json"): "9078910f3cb1d377bb9162fb329847d0922ad598084096cf04d7b048059a2098",
+        ("hooked", "csv"): "c8a62f5debb5ba7a7ceb965e34f4df5642bab2f8a177c9f3a72c4bf93249155e",
+        ("ln", "json"): "d223a9ebf81e59aa44bffd4ada1a8cde787267c8010115709a09491bfaeda9f9",
+        ("ln", "csv"): "b50bcca2dc04a359f04619677b724b8971b3ccb8c290ed88cb14f7a594929150",
+        ("ln-short", "json"): "300a024217aa33ac9815d2eee868a299eb30bcfdbd12565127bd1bc3995f0e98",
+        ("ln-short", "csv"): "f773faa712c0c331f52defc4fe0bf3a521a7c4a05a0dc680ae2368b9cda4534d",
+    }
+    PINNED_ARGS = {
+        "pl": ("--dist", "pl", "--alpha", "2.5"),
+        "pl-heavy": ("--dist", "pl", "--alpha", "1.2"),
+        "hooked": ("--dist", "hooked", "--alpha", "2.2", "--B", "4", "--x-min", "2"),
+        "ln": ("--dist", "ln", "--mu", "2.2", "--sigma", "1.02"),
+        # this window's cumulative mass ends 1.5e-4 short of one
+        "ln-short": ("--dist", "ln", "--mu", "0", "--sigma", "1e-5", "--x-min", str(10**12)),
+    }
+
+    @pytest.mark.parametrize("case, fmt", sorted(PINNED))
+    def test_bytes_pinned_across_versions(self, capsys, case, fmt):
+        code, out, _ = main_output(capsys, "sample", *self.PINNED_ARGS[case], "-n", "100000",
+                                   "--seed", "3", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.PINNED[case, fmt]
 
     def test_nineteen_digit_draws(self, capsys):
         x_min = 2**62

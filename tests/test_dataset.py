@@ -156,7 +156,9 @@ def no_fallback(text):
 
 class TestParserEquivalence:
     TOKENS = ["+3", "1_0", " 2 ", "\u0663", "-0", "1.0", "0x10", "-1",
-              str(2**63 - 1), str(2**63), str(10**20), "-" + str(2**70)]
+              str(2**63 - 1), str(2**63), str(10**20), "-" + str(2**70),
+              # the bytes just below and above the digits, and controls below "0"
+              "/", "1/2", ":", "3:", "\x00", "4\x00", "\x0b", "5\x0b"]
     TEXTS = (
         [f"5\n{token}\n7\n" for token in TOKENS]
         + ["5\r\n+3\r\n0\r\n7\r\n", "\n\n5\n \n\t\n7\n\n", "4\n\n-1\nfoo\n",
@@ -188,17 +190,26 @@ class TestParserEquivalence:
         path.write_bytes(text.encode("utf-8"))
         assert_loads_as_reference(path, text)
 
-    @pytest.mark.parametrize("cr_at", [dataset._BLOCK_BYTES - 2, dataset._BLOCK_BYTES - 1])
+    @pytest.mark.parametrize("cr_at", [dataset._BLOCK_BYTES - 2, dataset._BLOCK_BYTES - 1,
+                                       (1 << 20) - 2, (1 << 20) - 1])
     @pytest.mark.parametrize("long_line", [False, True])
     def test_larger_than_a_block(self, tmp_path, monkeypatch, cr_at, long_line):
-        # the first \r\n ends at, or straddles, the first block's nominal end;
-        # with a 19-digit line after it the whole file falls back
+        # the first \r\n ends at, or straddles, the first block's nominal end, for
+        # the parser's block size and for blocks of 1 MiB; with a 19-digit line
+        # after it the whole file falls back
+        monkeypatch.setattr(dataset, "_BLOCK_BYTES", 1 << cr_at.bit_length())
         head = "123\n" * (cr_at // 4) + "7" * (cr_at % 4)
         text = head + "\r\n" + "1" * (19 if long_line else 18) + "\n" + "45\r\n" * 100_000
         path = write(tmp_path, "big.txt", text)
         if not long_line:
             monkeypatch.setattr(dataset, "_parse_plain", no_fallback)
         assert_loads_as_reference(path, text)
+
+    @pytest.mark.parametrize("head_lines", [dataset._BLOCK_BYTES // 4 - 1, dataset._BLOCK_BYTES // 4])
+    def test_cr_at_a_blocks_end(self, tmp_path, head_lines):
+        # the file's last byte is a \r: in its only block, or after a full first block
+        text = "123\n" * head_lines + "12\r"
+        assert_loads_as_reference(write(tmp_path, "cr.txt", text), text)
 
     @pytest.mark.parametrize("text", ["7", "7\n", "7\r\n", "\n0\r\n\r\n007\n\n", "9" * 18 + "\n1"])
     def test_digit_lines_take_the_byte_path(self, tmp_path, monkeypatch, text):
@@ -229,6 +240,70 @@ class TestParserEquivalence:
     def test_rejected_in_csv_too(self, tmp_path, token):
         with pytest.raises(ParseError, match="line 3"):
             load_counts(write(tmp_path, "r.csv", f"citations\n4\n{token}\n"), "csv")
+
+
+#: The histogram's rule: tallied by value up to this top, or the row count if larger.
+DENSE = dataset._DENSE_BINS
+
+
+class TestHistogram:
+    """``_histogram`` gives ``np.unique``'s arrays on both sides of its rule."""
+
+    CASES = {
+        # (rows, tallied by value)
+        "at the bound": (np.array([3, DENSE, 3, 0]), True),
+        "one past it": (np.array([3, DENSE + 1, 3, 0]), False),
+        # more rows than DENSE: the row count is the bound
+        "top at the row count": (np.append(np.arange(DENSE + 4) % 7, DENSE + 5), True),
+        "top one past the row count": (np.append(np.arange(DENSE + 4) % 7, DENSE + 6), False),
+        "zeros only": (np.zeros(9, np.int64), True),
+        "one value": (np.array([41]), True),
+        "one huge value": (np.array([2**63 - 1]), False),
+        "huge and small": (np.array([2**63 - 1, 1, 0, 2**63 - 1, 5]), False),
+        "negative": (np.array([-4, 2, 2]), False),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_equals_unique(self, monkeypatch, case):
+        rows, dense = self.CASES[case]
+        rows = np.asarray(rows, dtype=np.int64)
+        values, multiplicities = np.unique(rows, return_counts=True)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the other side of the rule ran")
+
+        monkeypatch.setattr(np, "unique" if dense else "bincount", refuse)
+        got = dataset._histogram(rows)
+        assert [a.dtype for a in got] == [np.int64, np.int64]
+        assert got[0].tolist() == values.tolist()
+        assert got[1].tolist() == multiplicities.tolist()
+
+    @given(rows=st.lists(st.one_of(st.integers(0, 300), st.integers(0, 2**63 - 1)),
+                         min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_unique_generated(self, rows):
+        rows = np.array(rows, dtype=np.int64)
+        values, multiplicities = np.unique(rows, return_counts=True)
+        got = dataset._histogram(rows)
+        assert got[0].tolist() == values.tolist() and got[1].tolist() == multiplicities.tolist()
+
+    def test_a_huge_count_loads_in_bounded_memory(self, tmp_path):
+        # a table of 2**62 bins would not fit: the rule sorts instead
+        path = write(tmp_path, "huge.txt", f"3\n0\n{2**62}\n7\n")
+        tracemalloc.start()
+        try:
+            ds = load_counts(path, "plain")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (histogram(ds), ds.zeros_dropped) == (([3, 7, 2**62], [1, 1, 1]), 1)
+        assert peak < 1_000_000
+
+    def test_zeros_from_the_first_bin(self, tmp_path):
+        ds = load_counts(write(tmp_path, "z.txt", "0\n4\n0\n4\n1\n0\n"), "plain")
+        assert (histogram(ds), ds.zeros_dropped) == (([1, 4], [1, 2]), 3)
+        with pytest.raises(EmptyDatasetError, match="after dropping 2 zero"):
+            load_counts(write(tmp_path, "zz.txt", "0\n0\n"), "plain")
 
 
 class TestCountDataset:

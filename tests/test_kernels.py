@@ -5,14 +5,16 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from citefit.dataset import CountDataset, truncate
 from citefit.errors import NonNormalizableError, ParameterError, SupportError
-from citefit.fitting import fit_hooked, fit_power_law, ks_distance
+from citefit.fitting import fit_hooked, fit_lognormal, fit_power_law, ks_distance
 from citefit.kernels import (
+    _GUIDE_BUCKETS,
+    _SAMPLE_BLOCK,
     DiscreteDistribution,
     DiscreteLognormalParams,
     HookedPowerLawParams,
@@ -25,6 +27,8 @@ from citefit.kernels import (
     normalization_window,
     unnormalized_weight,
 )
+
+from conftest import sample_view
 
 PI2_6 = math.pi**2 / 6
 
@@ -165,12 +169,17 @@ class TestPowerLawWindowSums:
     def test_no_window_pass_for_the_power_laws(self):
         # a window of floats takes 80 kB; the closed form and its fitters need none
         view = truncate(CountDataset((7, 7, 8, 9, 12, 15, 30, 31, 90, 400)), 7)
-        tracemalloc.start()
-        try:
+
+        def construct_and_fit():
             for params in (PowerLawParams(2.5), HookedPowerLawParams(3.0, 10.0)):
                 DiscreteDistribution(params, 7)
             fit_power_law(view)
             fit_hooked(view)
+
+        construct_and_fit()  # warm-up: one-time allocations fall outside the traced span
+        tracemalloc.start()
+        try:
+            construct_and_fit()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -418,6 +427,103 @@ class TestCcdf:
         assert peak < 1 << 20
         assert tail == dist.ccdf(dist.x_min + NORMALIZATION_TERMS)
         assert 0.0 <= distance <= 1.0
+
+
+def full_table_cdf(dist, x):
+    """``cdf`` read from the whole window's cumulative table."""
+    cum = dist._window_cum
+    return cum[np.minimum(np.asarray(x, dtype=np.int64) - dist.x_min, NORMALIZATION_TERMS - 1)]
+
+
+def full_table_ccdf(dist, x):
+    """``ccdf`` read from the whole window's cumulative table."""
+    cum = dist._window_cum
+    idx = np.minimum(np.asarray(x, dtype=np.int64) - dist.x_min, NORMALIZATION_TERMS)
+    return np.maximum(1.0 - np.where(idx > 0, cum[np.maximum(idx, 1) - 1], 0.0), 0.0)
+
+
+@pytest.fixture(scope="module")
+def baseline_fits():
+    """Fitted distributions on 24 hooked(alpha, 10) and 9 lognormal views, with the views."""
+    hooked = [sample_view(HookedPowerLawParams(alpha, 10.0), n, seed)
+              for alpha in (2.0, 3.0, 6.0, 10.0) for n in (500, 4000) for seed in (1, 2, 3)]
+    lognormal = [sample_view(DiscreteLognormalParams(mu, sigma), 1000, seed)
+                 for mu, sigma in ((0.2, 1.2), (0.6, 1.45), (1.0, 1.7)) for seed in (1, 2, 3)]
+    return ([(fit_power_law(v).dist, v) for v in hooked] + [(fit_hooked(v).dist, v) for v in hooked]
+            + [(fit_lognormal(v).dist, v) for v in lognormal])
+
+
+class TestPrefixTable:
+    """``cdf`` and ``ccdf`` sum the pmf only up to the largest point asked."""
+
+    def test_same_bits_as_the_whole_window(self, baseline_fits):
+        assert len(baseline_fits) == 24 + 24 + 9
+        for dist, view in baseline_fits:
+            far = dist.x_min + np.array([NORMALIZATION_TERMS - 2, NORMALIZATION_TERMS - 1,
+                                         NORMALIZATION_TERMS, 10**7, 2**62])
+            for points in (view.values, view.values[:3], far, np.append(view.values, far),
+                           np.array([dist.x_min]), np.array([np.iinfo(np.int64).max])):
+                assert np.array_equal(dist.cdf(points), full_table_cdf(dist, points))
+                assert np.array_equal(dist.ccdf(points), full_table_ccdf(dist, points))
+            ecdf = np.cumsum(view.multiplicities) / view.n_tail
+            full = float(np.abs(ecdf - full_table_cdf(dist, view.values)).max())
+            assert ks_distance(dist, view) == full
+
+    def test_scalars(self, baseline_fits):
+        dist, view = baseline_fits[-1]
+        for x in (dist.x_min, int(view.values[-1]), dist.x_min + NORMALIZATION_TERMS):
+            assert dist.cdf(x) == float(full_table_cdf(dist, x))
+            assert dist.ccdf(x) == float(full_table_ccdf(dist, x))
+
+
+#: Parameters over each family's box, the sampler's hard corners among them.
+ANY_PARAMS = st.one_of(
+    st.builds(PowerLawParams, st.floats(1.0 + 1e-9, 20.0)),
+    st.builds(HookedPowerLawParams, st.floats(1.0 + 1e-9, 20.0), st.floats(-0.999, 1e6)),
+    st.builds(DiscreteLognormalParams, st.floats(-1000.0, 20.0), st.floats(1e-6, 50.0)),
+)
+
+
+class TestGuideTable:
+    """The guide table's lookup is the binary search over the whole table, bit for bit."""
+
+    @given(params=ANY_PARAMS, x_min=st.sampled_from([1, 2, 40, 10**12]),
+           n=st.integers(1, 3 * _SAMPLE_BLOCK + 7), seed=st.integers(0, 2**32))
+    @example(params=PowerLawParams(1.0 + 1e-9), x_min=1, n=50_000, seed=3)
+    @example(params=PowerLawParams(1.2), x_min=1, n=50_000, seed=4)
+    @example(params=HookedPowerLawParams(1.0 + 1e-6, 0.5), x_min=1, n=50_000, seed=5)
+    @example(params=DiscreteLognormalParams(0.0, 1e-5), x_min=10**12, n=50_000, seed=1)
+    @example(params=DiscreteLognormalParams(-1000.0, 50.0), x_min=1, n=50_000, seed=6)
+    @settings(max_examples=60, deadline=None)
+    def test_draws_equal_the_clamped_binary_search(self, params, x_min, n, seed):
+        dist = DiscreteDistribution(params, x_min)
+        u = np.random.default_rng(seed).random(n)
+        index = np.searchsorted(dist._window_cum, u, side="left")
+        expected = np.minimum(index, NORMALIZATION_TERMS - 1) + x_min
+        assert np.array_equal(dist.sample(n, seed), expected)
+
+    @pytest.mark.parametrize("params, x_min", [
+        (PowerLawParams(1.0 + 1e-9), 1), (PowerLawParams(1.2), 1), (PowerLawParams(2.5), 7),
+        (HookedPowerLawParams(20.0, -0.999), 1), (DiscreteLognormalParams(2.2, 1.02), 1),
+        (DiscreteLognormalParams(0.0, 1e-5), 10**12), (DiscreteLognormalParams(20.0, 1e-6), 1),
+    ])
+    def test_edges_and_table_entries(self, params, x_min):
+        # uniforms on every bucket edge and every table entry below one, and
+        # their neighbours, where a rounded bucket or edge would show
+        dist = DiscreteDistribution(params, x_min)
+        cum = dist._window_cum
+        points = np.concatenate([np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS, cum[cum < 1.0],
+                                 [0.0, np.nextafter(1.0, 0.0)]])
+        u = np.concatenate([points, np.nextafter(points, 0.0), np.nextafter(points, 1.0)])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        out = np.empty(u.size, np.int64)
+        dist._lookup(u, out)
+        assert np.array_equal(out, np.searchsorted(cum, u, side="left"))
+
+    def test_crowded_and_single_buckets(self):
+        # alpha near one spreads the table over the buckets: both lookups run
+        _, _, crowded = DiscreteDistribution(PowerLawParams(1.2), 1)._guide
+        assert 0 < np.count_nonzero(crowded) < _GUIDE_BUCKETS
 
 
 class TestSampler:
