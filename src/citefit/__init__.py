@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 #: Each public name, under the module that defines it.
 _EXPORTS = {
-    "comparison": ("ComparisonOutcome", "lrt_test", "vuong_test"),
+    "comparison": ("ComparisonOutcome", "compare", "lrt_test", "vuong_test"),
     "dataset": ("CountDataset", "TruncatedView", "load_counts", "tail_ccdf", "truncate"),
     "fitting": (
         "FitResult",

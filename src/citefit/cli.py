@@ -179,31 +179,25 @@ def cmd_scan(args):
 
 
 def cmd_compare(args):
-    from .comparison import FIRST, SECOND, lrt_test, vuong_test
+    from .comparison import FIRST, SECOND, compare
     from .dataset import load_counts, truncate
     from .fitting import fit_kind
 
     data = load_counts(args.input, args.input_format)
     view = truncate(data, args.x_min)
-    names = (args.first, args.second)
-    fits = {name: fit_kind(view, name) for name in set(names)}
-    if set(names) == {"pl", "hooked"}:
-        outcome = lrt_test(fits["pl"], fits["hooked"])
-        better_name = {FIRST: "pl", SECOND: "hooked"}.get(outcome.better, "neither")
-    else:
-        outcome = vuong_test(fits[names[0]], fits[names[1]], view)
-        better_name = {FIRST: names[0], SECOND: names[1]}.get(outcome.better, "neither")
+    fits = {name: fit_kind(view, name) for name in {args.first, args.second}}
+    outcome = compare(fits[args.first], fits[args.second], view)
     row = {
         "source": data.source_label,
-        "first": names[0],
-        "second": names[1],
+        "first": args.first,
+        "second": args.second,
         "test": outcome.kind,
         "x_min": view.x_min,
         "n": outcome.n,
         "statistic": outcome.statistic,
         "threshold_05": outcome.threshold_05,
         "threshold_01": outcome.threshold_01,
-        "better": better_name,
+        "better": {FIRST: args.first, SECOND: args.second}.get(outcome.better, "neither"),
         "significant_05": outcome.significant_05,
         "degenerate": outcome.degenerate,
     }
@@ -211,7 +205,7 @@ def cmd_compare(args):
 
 
 def cmd_analyze(args):
-    from .comparison import lrt_test, vuong_test
+    from .comparison import compare
     from .dataset import load_counts, truncate
     from .fitting import fit_kind, scan_x_min
 
@@ -246,9 +240,7 @@ def cmd_analyze(args):
         if fits[first] is None or fits[second] is None:
             return None
         try:
-            if test == "vuong":
-                return vuong_test(fits[first], fits[second], view).statistic
-            return lrt_test(fits[first], fits[second]).statistic
+            return compare(fits[first], fits[second], view).statistic
         except InternalConsistencyError as exc:
             flags.append(f"{test}({first},{second}):inconsistent")
             _diag(f"warning: {exc}")

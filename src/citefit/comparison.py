@@ -1,13 +1,9 @@
-"""Pairwise model comparison: Vuong test and likelihood-ratio test.
+"""Pairwise model comparison: ``compare`` picks the test for two fits.
 
-The Vuong test compares non-nested fits through the pointwise
-log-likelihood differences, with a Schwarz (BIC-type) correction for the
-differing parameter counts; its statistic is asymptotically standard
-normal, read two-sided. The likelihood-ratio test covers the nested
-power-law / hooked pair: twice the log-likelihood gap, chi-square with
-one degree of freedom (critical values 3.841 at p=0.05 and 6.635 at
-p=0.01). A positive statistic favors the first model for Vuong and the
-larger (hooked) model for the LRT.
+The nested power-law / hooked pair, in either order, takes the
+likelihood-ratio test (chi-square, one degree of freedom); every other
+pair takes Vuong's test (standard normal, read two-sided). Each test's
+critical values are one row of ``CRITICAL_VALUES``.
 
 Both tests depend only on the multiset of observations, so they are
 invariant to dataset ordering, and are pure functions.
@@ -16,7 +12,7 @@ invariant to dataset ordering, and are pure functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .dataset import TruncatedView
 from .errors import InternalConsistencyError, UsageError
@@ -31,6 +27,13 @@ VUONG_THRESHOLD_05 = 1.96  # two-sided normal
 VUONG_THRESHOLD_01 = 2.576
 LRT_THRESHOLD_05 = 3.841
 LRT_THRESHOLD_01 = 6.635
+#: Each test's critical values at p=0.05 and p=0.01.
+CRITICAL_VALUES = {
+    "vuong": (VUONG_THRESHOLD_05, VUONG_THRESHOLD_01),
+    "lrt": (LRT_THRESHOLD_05, LRT_THRESHOLD_01),
+}
+#: The nested pairs of parameter classes, smaller family first: the LRT's pairs.
+NESTED = ((PowerLawParams, HookedPowerLawParams),)
 
 #: Small negative LRT statistics within this tolerance are optimizer
 #: round-off and are clamped to zero; anything worse is an error.
@@ -43,15 +46,43 @@ class ComparisonOutcome:
 
     kind: str  # "vuong" or "lrt"
     statistic: float
-    threshold_05: float
-    threshold_01: float
     better: str  # FIRST, SECOND, or INDISTINGUISHABLE
     n: int
     degenerate: bool = False
 
     @property
+    def threshold_05(self) -> float:
+        return CRITICAL_VALUES[self.kind][0]
+
+    @property
+    def threshold_01(self) -> float:
+        return CRITICAL_VALUES[self.kind][1]
+
+    @property
     def significant_05(self) -> bool:
         return self.better != INDISTINGUISHABLE
+
+
+def compare(fit_a: FitResult, fit_b: FitResult, data: TruncatedView) -> ComparisonOutcome:
+    """The test of ``fit_a`` against ``fit_b`` on ``data``, the tail both were fitted to.
+
+    A nested pair, in either order, takes :func:`lrt_test`, its ``better``
+    read in the caller's order (FIRST is ``fit_a``); any other pair takes
+    :func:`vuong_test`. UsageError when ``data`` is not the fits' tail.
+    """
+    _require_one_tail(fit_a, fit_b, data)
+    pair = type(fit_a.params), type(fit_b.params)
+    if pair in NESTED:
+        return lrt_test(fit_a, fit_b)
+    if pair[::-1] in NESTED:
+        outcome = lrt_test(fit_b, fit_a)
+        return replace(outcome, better=FIRST if outcome.better == SECOND else outcome.better)
+    return vuong_test(fit_a, fit_b, data)
+
+
+def _require_one_tail(fit_a: FitResult, fit_b: FitResult, data: TruncatedView):
+    if not (fit_a.x_min, fit_a.n_tail) == (fit_b.x_min, fit_b.n_tail) == (data.x_min, data.n_tail):
+        raise UsageError("a comparison requires both fits on the data's tail (x_min and size)")
 
 
 def vuong_test(fit_a: FitResult, fit_b: FitResult, data: TruncatedView) -> ComparisonOutcome:
@@ -67,10 +98,7 @@ def vuong_test(fit_a: FitResult, fit_b: FitResult, data: TruncatedView) -> Compa
     If the two models are pointwise identical on the data (s = 0), the
     outcome is flagged degenerate and reported indistinguishable.
     """
-    if fit_a.x_min != fit_b.x_min or fit_a.x_min != data.x_min:
-        raise UsageError("Vuong test requires both fits and data to share one x_min")
-    if fit_a.n_tail != data.n_tail or fit_b.n_tail != data.n_tail:
-        raise UsageError("Vuong test requires both fits to cover the same data")
+    _require_one_tail(fit_a, fit_b, data)
     n = data.n_tail
     weights = data.multiplicities
     pointwise = fit_a.dist.log_pmf(data.values) - fit_b.dist.log_pmf(data.values)
@@ -80,31 +108,12 @@ def vuong_test(fit_a: FitResult, fit_b: FitResult, data: TruncatedView) -> Compa
         deviation = pointwise - total / n
         spread = math.sqrt(float(weights @ (deviation * deviation)) / (n - 1))
     if spread == 0.0:
-        return ComparisonOutcome(
-            kind="vuong",
-            statistic=0.0,
-            threshold_05=VUONG_THRESHOLD_05,
-            threshold_01=VUONG_THRESHOLD_01,
-            better=INDISTINGUISHABLE,
-            n=n,
-            degenerate=True,
-        )
+        return ComparisonOutcome("vuong", 0.0, INDISTINGUISHABLE, n, degenerate=True)
     correction = 0.5 * (len(fields(fit_a.params)) - len(fields(fit_b.params))) * math.log(n)
     z = (total - correction) / (math.sqrt(n) * spread)
-    if z >= VUONG_THRESHOLD_05:
-        better = FIRST
-    elif z <= -VUONG_THRESHOLD_05:
-        better = SECOND
-    else:
-        better = INDISTINGUISHABLE
-    return ComparisonOutcome(
-        kind="vuong",
-        statistic=z,
-        threshold_05=VUONG_THRESHOLD_05,
-        threshold_01=VUONG_THRESHOLD_01,
-        better=better,
-        n=n,
-    )
+    better = (FIRST if z >= VUONG_THRESHOLD_05 else
+              SECOND if z <= -VUONG_THRESHOLD_05 else INDISTINGUISHABLE)
+    return ComparisonOutcome("vuong", z, better, n)
 
 
 def lrt_test(fit_pl: FitResult, fit_hooked: FitResult) -> ComparisonOutcome:
@@ -117,10 +126,8 @@ def lrt_test(fit_pl: FitResult, fit_hooked: FitResult) -> ComparisonOutcome:
     raises InternalConsistencyError. Significant (hooked better) at
     statistic >= 3.841 for p=0.05.
     """
-    if not isinstance(fit_pl.params, PowerLawParams):
-        raise UsageError("first argument must be the power-law fit")
-    if not isinstance(fit_hooked.params, HookedPowerLawParams):
-        raise UsageError("second argument must be the hooked-power-law fit")
+    if (type(fit_pl.params), type(fit_hooked.params)) not in NESTED:
+        raise UsageError("the LRT takes the power-law fit, then the hooked-power-law fit")
     if fit_pl.x_min != fit_hooked.x_min or fit_pl.n_tail != fit_hooked.n_tail:
         raise UsageError("LRT requires both fits on the same truncated data")
     statistic = 2.0 * (fit_pl.neg_log_likelihood - fit_hooked.neg_log_likelihood)
@@ -132,11 +139,4 @@ def lrt_test(fit_pl: FitResult, fit_hooked: FitResult) -> ComparisonOutcome:
             )
         statistic = 0.0
     better = SECOND if statistic >= LRT_THRESHOLD_05 else INDISTINGUISHABLE
-    return ComparisonOutcome(
-        kind="lrt",
-        statistic=statistic,
-        threshold_05=LRT_THRESHOLD_05,
-        threshold_01=LRT_THRESHOLD_01,
-        better=better,
-        n=fit_pl.n_tail,
-    )
+    return ComparisonOutcome("lrt", statistic, better, fit_pl.n_tail)

@@ -46,6 +46,8 @@ COUNT_LIMIT = 2**63
 #: A histogram is tallied by value when its largest count is at most this
 #: or the row count, whichever is larger; otherwise it is sorted.
 _DENSE_BINS = 2**16
+#: The most characters of a bad line that an error message quotes.
+_QUOTED_CHARS = 40
 
 
 class CountDataset:
@@ -53,17 +55,18 @@ class CountDataset:
 
     ``counts`` may be any one-dimensional sequence or array of integers
     (integral floats are accepted). Only its sorted histogram is kept:
-    ``values`` and ``multiplicities``, with ``n`` counts in all.
+    ``values`` and ``multiplicities``, with ``n`` counts in all. Its
+    ``source_label`` and ``zeros_dropped`` are "" and 0 unless ``load_counts`` read a file.
     """
 
-    def __init__(self, counts, source_label: str = "", zeros_dropped: int = 0):
+    def __init__(self, counts):
         rows = _as_int64(counts)
         if rows.size == 0:
             raise EmptyDatasetError("dataset has no counts")
         values, multiplicities = _histogram(rows)
         if values[0] < 1:
             raise UsageError("counts must be positive integers")
-        self._hold(values, multiplicities, source_label, zeros_dropped)
+        self._hold(values, multiplicities, "", 0)
 
     @classmethod
     def _of_histogram(cls, values, multiplicities, source_label, zeros_dropped):
@@ -151,7 +154,7 @@ class TruncatedView:
         return self.base.multiplicities[self.start:]
 
 
-def load_counts(path, fmt: str = PLAIN, source_label: str | None = None) -> CountDataset:
+def load_counts(path, fmt: str = PLAIN) -> CountDataset:
     """Load a count dataset from a file.
 
     Parameters
@@ -166,14 +169,12 @@ def load_counts(path, fmt: str = PLAIN, source_label: str | None = None) -> Coun
         digits, ending in ``\\n`` or ``\\r\\n``, is parsed from its bytes
         by numpy (22-47 ms per 10^6 rows); any other file is decoded and
         parsed line by line, with the same grammar.
-    source_label : str, optional
-        Provenance label; defaults to the file's base name.
 
     Returns
     -------
     CountDataset
-        The histogram of the positive counts; zeros are counted in
-        ``zeros_dropped``, read from the histogram of all the rows.
+        The histogram of the positive counts, labelled with the file's base
+        name; zeros are counted in ``zeros_dropped``, read from the histogram.
 
     Raises
     ------
@@ -183,7 +184,7 @@ def load_counts(path, fmt: str = PLAIN, source_label: str | None = None) -> Coun
     EmptyDatasetError
         File contains no positive counts.
     """
-    label = source_label if source_label is not None else os.path.basename(str(path))
+    label = os.path.basename(str(path))
     with open(path, "rb") as fh:
         data = fh.read()
     if fmt == PLAIN:
@@ -326,15 +327,23 @@ def _parse_csv(text: str) -> list[int]:
 
 
 def _parse_count(token: str, lineno: int) -> int:
+    token = token.strip()
     try:
-        value = int(token.strip())
+        value = int(token)
     except ValueError:
-        raise ParseError(f"not an integer: {token.strip()!r}", line_number=lineno) from None
-    if value < 0:
-        raise ParseError(f"negative count: {value}", line_number=lineno)
-    if value >= COUNT_LIMIT:
-        raise ParseError(f"count too large (>= 2**63): {value}", line_number=lineno)
+        raise ParseError(f"not an integer: {_quoted(token)}", line_number=lineno) from None
+    if value < 0 or value >= COUNT_LIMIT:
+        what = "negative count" if value < 0 else "count too large (>= 2**63)"
+        shown = value if len(token) <= _QUOTED_CHARS else _quoted(token)
+        raise ParseError(f"{what}: {shown}", line_number=lineno)
     return value
+
+
+def _quoted(token: str) -> str:
+    """``repr(token)`` for an error message: of its first 40 characters only, and its length."""
+    if len(token) <= _QUOTED_CHARS:
+        return repr(token)
+    return f"{token[:_QUOTED_CHARS]!r}... ({len(token):,} characters)"
 
 
 def truncate(data: CountDataset, x_min: int) -> TruncatedView:

@@ -50,10 +50,8 @@ class ParseError(CitefitError):
 
     exit_code = EXIT_IO
 
-    def __init__(self, message, line_number=None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
+    def __init__(self, message, line_number):
+        super().__init__(f"line {line_number}: {message}")
         self.line_number = line_number
 
 

@@ -136,17 +136,14 @@ class XminScanEntry:
 
 @dataclass(frozen=True)
 class XminScanResult:
-    """Fits across truncation candidates, scored by KS distance."""
+    """Fits across truncation candidates, scored by KS distance, and the best of them."""
 
-    best_x_min: int
+    best: XminScanEntry
     per_xmin: tuple[XminScanEntry, ...]
 
     @property
-    def best(self) -> XminScanEntry:
-        for entry in self.per_xmin:
-            if entry.x_min == self.best_x_min:
-                return entry
-        raise AssertionError("scan result lost its best entry")
+    def best_x_min(self) -> int:
+        return self.best.x_min
 
 
 def _degenerate(data: TruncatedView, kind: str) -> str | None:
@@ -776,4 +773,4 @@ def scan_x_min(data: CountDataset, kind: str, x_min_range) -> XminScanResult:
             f"no truncation candidate left a tail of at least {MIN_SCAN_TAIL} usable points"
         )
     best = min(entries, key=lambda entry: entry.selection_score)  # the first of a tie
-    return XminScanResult(best_x_min=best.x_min, per_xmin=tuple(entries))
+    return XminScanResult(best=best, per_xmin=tuple(entries))

@@ -565,11 +565,11 @@ PUBLIC_NAMES = {
     "AttachmentParams", "CIWidthGrid", "ComparisonOutcome", "CountDataset",
     "DiscreteDistribution", "DiscreteLognormalParams", "FitResult", "HookedPowerLawParams",
     "LLContourGrid", "PowerLawParams", "RidgeReport", "TruncatedView", "XminScanResult",
-    "attachment_to_hooked", "ci_width_study", "fit_hooked", "fit_lognormal", "fit_power_law",
-    "hooked_to_attachment", "ll_contour", "load_counts", "lognormal_ci_study", "lrt_test",
-    "neg_log_likelihood", "normalization_constant", "normalization_constants", "ridge_demo",
-    "scan_x_min", "slope_tolerance_threshold", "tail_ccdf", "truncate", "unnormalized_weight",
-    "vuong_test",
+    "attachment_to_hooked", "ci_width_study", "compare", "fit_hooked", "fit_lognormal",
+    "fit_power_law", "hooked_to_attachment", "ll_contour", "load_counts", "lognormal_ci_study",
+    "lrt_test", "neg_log_likelihood", "normalization_constant", "normalization_constants",
+    "ridge_demo", "scan_x_min", "slope_tolerance_threshold", "tail_ccdf", "truncate",
+    "unnormalized_weight", "vuong_test",
 }
 
 #: Each command and the citefit modules loaded once it has run.

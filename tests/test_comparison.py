@@ -1,11 +1,14 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 from citefit.comparison import (
+    FIRST,
     INDISTINGUISHABLE,
     SECOND,
+    compare,
     lrt_test,
     vuong_test,
 )
@@ -148,3 +151,38 @@ class TestLrt:
         s1 = lrt_test(fit_power_law(base), fit_hooked(base)).statistic
         s2 = lrt_test(fit_power_law(view2), fit_hooked(view2)).statistic
         assert s1 == pytest.approx(s2, abs=1e-9)
+
+
+class TestCompare:
+    """``compare`` picks each pair's test as the command line did before it existed."""
+
+    @staticmethod
+    def picked(fits, a, b, view):
+        """The test of ``a`` against ``b`` and the name of the better, by the old rule."""
+        if {a, b} == {"pl", "hooked"}:
+            outcome = lrt_test(fits["pl"], fits["hooked"])
+            return outcome, {FIRST: "pl", SECOND: "hooked"}.get(outcome.better, "neither")
+        outcome = vuong_test(fits[a], fits[b], view)
+        return outcome, {FIRST: a, SECOND: b}.get(outcome.better, "neither")
+
+    @pytest.mark.parametrize("params", [PowerLawParams(2.5), HookedPowerLawParams(3.0, 30.0)])
+    def test_every_ordered_pair(self, params):
+        view = sample_view(params, 2000, seed=40)
+        fits = dict(zip(("pl", "ln", "hooked"), fits_on(view)))
+        for a, b in itertools.product(fits, repeat=2):
+            got = compare(fits[a], fits[b], view)
+            want, better = self.picked(fits, a, b, view)
+            assert (got.kind, got.statistic, got.n, got.degenerate) == (
+                want.kind, want.statistic, want.n, want.degenerate)
+            assert {FIRST: a, SECOND: b}.get(got.better, "neither") == better
+            assert (got.threshold_05, got.threshold_01) == (want.threshold_05, want.threshold_01)
+        if isinstance(params, HookedPowerLawParams):  # the verdict to map is not "neither"
+            assert compare(fits["hooked"], fits["pl"], view).better == FIRST
+
+    def test_data_from_another_truncation_is_usage_error(self):
+        view = sample_view(PowerLawParams(2.5), 300, seed=3)
+        pl, ln, hooked = fits_on(view)
+        other = truncate(view.base, 2)
+        for a, b in ((pl, hooked), (hooked, pl), (pl, ln), (ln, ln)):
+            with pytest.raises(UsageError):
+                compare(a, b, other)

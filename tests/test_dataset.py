@@ -48,6 +48,23 @@ class TestLoadCounts:
         with pytest.raises(ParseError, match="line 2"):
             load_counts(write(tmp_path, "d.txt", "5\nfoo\n2"), "plain")
 
+    @pytest.mark.parametrize("name,fmt,text", [
+        # past int()'s digit limit, where there is one, else too large; and no
+        # newline in the digit parser's first block
+        ("long.txt", "plain", "7" * 40_000 + "\n"),
+        ("large.txt", "plain", "7" * 4_000 + "\n"),  # too large, under any digit limit
+        ("long.csv", "csv", "citations\n" + "x" * 100_000 + "\n"),
+    ])
+    def test_a_long_bad_line_is_quoted_in_part(self, tmp_path, name, fmt, text):
+        path = write(tmp_path, name, text)
+        if fmt == "plain":
+            assert dataset._parse_digit_lines(path.read_bytes()) is None
+        with pytest.raises(ParseError) as info:
+            load_counts(path, fmt)
+        assert info.value.line_number == 1 + (fmt == "csv")
+        assert len(str(info.value).encode()) < 200
+        assert f"({len(text.splitlines()[-1]):,} characters)" in str(info.value)
+
     def test_all_zeros_is_empty(self, tmp_path):
         with pytest.raises(EmptyDatasetError):
             load_counts(write(tmp_path, "e.txt", "0\n0\n"), "plain")

@@ -17,6 +17,8 @@ from citefit.fitting import (
     HOOKED_GRAD_TOL,
     MIN_SCAN_TAIL,
     _ROOT_MAX_ITER,
+    _ROOT_RTOL,
+    _ROOT_XTOL,
     _GRID_B,
     _GRID_VIEWS,
     _alpha_at,
@@ -219,6 +221,15 @@ class TestNewtonRoots:
         if not bracketed:
             assert [(x, c) for x, _, c in together[3:5]] == [(1.0, 2), (20.0, 2)]
             assert together[5][2] == _ROOT_MAX_ITER and 5.0 < together[5][0] < 5.0 + 1e-7
+
+    def test_a_bisected_step_below_the_tolerance_ends_the_search(self):
+        # a value that jumps from -1 to 1 at 7 with slope 1: every Newton step has
+        # length 1 and leaves the bracket, so the search bisects until a halving
+        # is below the tolerance, never at a zero value nor at an end
+        (x, (value, _), count), = _newton_roots(
+            lambda active, x: [(-1.0 if xi < 7.0 else 1.0, 1.0) for xi in x], [6.5], 1.0, 20.0)
+        assert value == -1.0 and count < _ROOT_MAX_ITER
+        assert 7.0 - 2 * (_ROOT_XTOL + _ROOT_RTOL * 7.0) < x < 7.0
 
 
 def reference_fit(view, kind):

@@ -327,6 +327,29 @@ class TestNormalization:
             assert 0 < nc.bare < math.inf
             assert 0 < nc.tail_corrected < math.inf
 
+    @pytest.mark.parametrize("x_min", [1, 10])
+    @pytest.mark.parametrize("mu,sigma", [(1.0, 3.0), (5.0, 2.5), (-2.0, 4.0)])
+    def test_heavy_lognormal_tail_correction(self, mu, sigma, x_min):
+        # sigma > 2: the window's sum plus the lognormal mass past its midpoint edge,
+        # against the density summed term by term to 10**6 plus the mass past that.
+        # The midpoint rule's error past an edge e is about |f'(e)| / 24; the
+        # reference's own error past 10**6 is below a millionth of the window's.
+        def density(x):
+            z = (np.log(x) - mu) / sigma
+            return np.exp(-0.5 * z * z) / (x * sigma * math.sqrt(2 * math.pi))
+
+        def mass_above(x):
+            return 0.5 * math.erfc((math.log(x) - mu) / (sigma * math.sqrt(2.0)))
+
+        top = 10**6
+        terms = density(np.arange(x_min, top + 1, dtype=float))
+        reference = math.fsum(terms) + mass_above(top + 0.5)
+        edge = x_min + NORMALIZATION_TERMS - 0.5
+        slope = density(edge) * (1.0 + (math.log(edge) - mu) / sigma**2) / edge  # |f'(edge)|
+        nc = normalization_constants(DiscreteLognormalParams(mu, sigma), x_min)
+        assert nc.tail_corrected > nc.bare
+        assert abs(nc.tail_corrected - reference) <= 2.0 * slope / 24
+
 
 class TestPmf:
     def test_power_law_pmf_value(self):
