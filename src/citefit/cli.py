@@ -53,6 +53,12 @@ DEFAULT_ALPHA_GRID = "2,3,4,5,6,7,8,9,10"
 DEFAULT_N_GRID = "500,1000,2000,4000"
 #: Most points an axis range may hold; a range is counted before it is built.
 MAX_AXIS_POINTS = 100_000
+#: ``analyze``'s test columns, each named for its test, and the two families it compares.
+ANALYZE_TESTS = (
+    ("vuong_pl_ln", "pl", "ln"),
+    ("vuong_ln_hooked", "ln", "hooked"),
+    ("lrt_hooked_pl", "pl", "hooked"),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,43 +242,28 @@ def cmd_analyze(args):
             flags.append(f"{kind}:degenerate")
             _diag(f"warning: {kind} fit degenerate: {exc}")
 
-    def stat_or_none(first, second, test):
-        if fits[first] is None or fits[second] is None:
-            return None
-        try:
-            return compare(fits[first], fits[second], view).statistic
-        except InternalConsistencyError as exc:
-            flags.append(f"{test}({first},{second}):inconsistent")
-            _diag(f"warning: {exc}")
-            return None
-
-    def param(kind, name):
-        fit = fits[kind]
-        return None if fit is None else getattr(fit.params, name)
-
-    def neg_ll(kind):
-        fit = fits[kind]
-        return None if fit is None else fit.neg_log_likelihood
-
     row = {
         "source": data.source_label,
         "policy": policy,
         "x_min": x_min,
         "n_tail": view.n_tail,
         "zeros_dropped": data.zeros_dropped,
-        "pl_alpha": param("pl", "alpha"),
-        "ln_mu": param("ln", "mu"),
-        "ln_sigma": param("ln", "sigma"),
-        "hooked_alpha": param("hooked", "alpha"),
-        "hooked_b": param("hooked", "B"),
-        "neg_ll_pl": neg_ll("pl"),
-        "neg_ll_ln": neg_ll("ln"),
-        "neg_ll_hooked": neg_ll("hooked"),
-        "vuong_pl_ln": stat_or_none("pl", "ln", "vuong"),
-        "vuong_ln_hooked": stat_or_none("ln", "hooked", "vuong"),
-        "lrt_hooked_pl": stat_or_none("pl", "hooked", "lrt"),
-        "flags": ";".join(flags),
     }
+    for kind in KINDS:
+        fit = fits[kind]
+        for name in (field.name for field in dataclasses.fields(FAMILIES[kind])):
+            row[f"{kind}_{name.lower()}"] = None if fit is None else getattr(fit.params, name)
+    for kind in KINDS:
+        row[f"neg_ll_{kind}"] = None if fits[kind] is None else fits[kind].neg_log_likelihood
+    for column, first, second in ANALYZE_TESTS:
+        row[column] = None
+        if fits[first] is not None and fits[second] is not None:
+            try:
+                row[column] = compare(fits[first], fits[second], view).statistic
+            except InternalConsistencyError as exc:
+                flags.append(f"{column.partition('_')[0]}({first},{second}):inconsistent")
+                _diag(f"warning: {exc}")
+    row["flags"] = ";".join(flags)
     return row, [row]
 
 
@@ -302,9 +293,12 @@ def cmd_ci_study(args):
 
 
 def _warn_flagged(grid):
+    from .simulation import EXCLUSION_FLAG_FRACTION
+
     flagged = sum(f for row in grid.flagged for f in row)
     if flagged:
-        _diag(f"warning: {flagged} cell(s) excluded more than 10% of replicates")
+        _diag(f"warning: {flagged} cell(s) excluded more than "
+              f"{EXCLUSION_FLAG_FRACTION:.0%} of replicates")
 
 
 def cmd_contour(args):

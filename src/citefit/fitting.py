@@ -117,7 +117,6 @@ class FitResult:
     dist: DiscreteDistribution
     neg_log_likelihood: float
     n_tail: int
-    x_min: int
     converged: bool
     iterations: int
     gradient_norm_at_exit: float
@@ -126,12 +125,19 @@ class FitResult:
     def params(self) -> ParamSpec:
         return self.dist.params
 
+    @property
+    def x_min(self) -> int:
+        return self.dist.x_min
+
 
 @dataclass(frozen=True)
 class XminScanEntry:
-    x_min: int
     fit: FitResult
     selection_score: float
+
+    @property
+    def x_min(self) -> int:
+        return self.fit.x_min
 
 
 @dataclass(frozen=True)
@@ -159,19 +165,17 @@ def _dataset_nll(dist: DiscreteDistribution, data: TruncatedView) -> float:
     return float(-(data.multiplicities @ dist.log_pmf(data.values)))
 
 
-def neg_log_likelihood(params: ParamSpec, x_min: int, data: TruncatedView) -> float:
-    """Negative log-likelihood of ``data`` under the kernel truncated at ``x_min``."""
-    if data.values[0] < x_min:
-        raise UsageError("data contains values below the requested x_min")
-    return _dataset_nll(DiscreteDistribution(params, x_min), data)
+def neg_log_likelihood(params: ParamSpec, data: TruncatedView) -> float:
+    """Negative log-likelihood of ``data`` under the kernel truncated at the view's ``x_min``."""
+    return _dataset_nll(DiscreteDistribution(params, data.x_min), data)
 
 
 def _fit_result(params: ParamSpec, data: TruncatedView, converged: bool,
                 iterations: int, gradient_norm: float) -> FitResult:
     """The ``FitResult`` at ``params``; one distribution serves the result and its NLL."""
     dist = DiscreteDistribution(params, data.x_min)
-    return FitResult(dist, _dataset_nll(dist, data), data.n_tail, data.x_min, converged,
-                     iterations, gradient_norm)
+    return FitResult(dist, _dataset_nll(dist, data), data.n_tail, converged, iterations,
+                     gradient_norm)
 
 
 def _projected_gradient_norm(theta, grad, bounds) -> float:
@@ -766,7 +770,7 @@ def scan_x_min(data: CountDataset, kind: str, x_min_range) -> XminScanResult:
     candidates = candidates[:bisect.bisect_right(candidates, int(data.values[-1]))]
     views = [view for view in (truncate(data, x_min) for x_min in candidates)
              if view.n_tail >= MIN_SCAN_TAIL]
-    entries = [XminScanEntry(view.x_min, fit, ks_distance(fit.dist, view))
+    entries = [XminScanEntry(fit, ks_distance(fit.dist, view))
                for view, fit in zip(views, fit_many(views, kind)) if fit is not None]
     if not entries:
         raise ScanError(

@@ -2,11 +2,12 @@
 
 The central question these answer: when data really does come from one
 of the kernels, how tightly can its parameters be recovered at realistic
-sample sizes? Each study cell simulates ``replicates`` datasets from
-x_min = 1, fits each one there, and reports the width of the 90% interval
-(5th to 95th percentile) of the fitted values. Degenerate and
-non-convergent replicates are excluded and counted; a cell losing more
-than 10% of its replicates is flagged. Both studies run through one
+sample sizes? Each study cell simulates ``replicates`` datasets, fits each
+one at its generator's x_min (1 for every study here), and reports the
+width of the 90% interval (5th to 95th percentile) of the fitted values.
+Degenerate and non-convergent replicates are excluded and counted; a cell
+is flagged when it loses more than ``EXCLUSION_FLAG_FRACTION`` (10%) of
+its replicates or keeps fewer than two fits. Both studies run through one
 replicate loop, which returns their finished ``CIWidthGrid``s.
 
 Reproducibility: replicate r of grid cell (i, j) draws from a generator
@@ -129,41 +130,30 @@ def _run_cells(rows, cols, replicates, seed, kind, targets, cell, description):
     """The precision studies' replicate loop; returns one ``CIWidthGrid`` per target.
 
     ``rows`` and ``cols`` are the grid's axes as ``(name, values)``
-    pairs, the values a tuple.
+    pairs, the values a tuple. The cells run in row-major order.
     ``cell(i, j)`` gives grid cell (i, j)'s generating distribution and
     sample size, built once per cell. Replicate r draws from it with
     :func:`replicate_seed` ``(seed, i, j, r)``. A cell's samples, truncated
-    at x_min = 1, go to :func:`~citefit.fitting.fit_many` in one call, which
-    fits ``kind`` back to each (the hooked law solves their profile grids in
-    one array pass). Each fit's parameters named in ``targets`` are
-    recorded; a fit that is degenerate or does not converge is excluded
-    instead.
+    at their generator's x_min, go to :func:`~citefit.fitting.fit_many` in
+    one call, which fits ``kind`` back to each (the hooked law solves their
+    profile grids in one array pass). The cell keeps the parameters of the
+    converged fits; the other replicates, degenerate or not converged, are
+    its exclusions. A target's width needs two kept fits, else it is NaN.
     """
     (row_name, row_values), (col_name, col_values) = rows, cols
     shape = (len(row_values), len(col_values))
-    widths = [np.full(shape, np.nan) for _ in targets]
+    widths = np.full((len(targets), *shape), np.nan)
     exclusions = np.zeros(shape, dtype=int)
-    flagged = np.zeros(shape, dtype=bool)
-    for i in range(shape[0]):
-        for j in range(shape[1]):
-            gen, n = cell(i, j)
-            recorded = [[] for _ in targets]
-            views = (truncate(CountDataset(gen.sample(n, replicate_seed(seed, i, j, r))), 1)
-                     for r in range(replicates))
-            for fit in fit_many(views, kind):
-                if fit is None or not fit.converged:
-                    exclusions[i, j] += 1
-                    continue
-                for store, name in zip(recorded, targets):
-                    store.append(getattr(fit.params, name))
-            for width, values in zip(widths, recorded):
-                if len(values) >= 2:
-                    width[i, j] = _interquantile_width(values)
-            if (
-                exclusions[i, j] > EXCLUSION_FLAG_FRACTION * replicates
-                or len(recorded[0]) < 2
-            ):
-                flagged[i, j] = True
+    for i, j in np.ndindex(shape):
+        gen, n = cell(i, j)
+        views = (truncate(CountDataset(gen.sample(n, replicate_seed(seed, i, j, r))), gen.x_min)
+                 for r in range(replicates))
+        kept = [fit.params for fit in fit_many(views, kind) if fit is not None and fit.converged]
+        exclusions[i, j] = replicates - len(kept)
+        if len(kept) >= 2:
+            for width, name in zip(widths, targets):
+                width[i, j] = _interquantile_width([getattr(params, name) for params in kept])
+    flagged = (exclusions > EXCLUSION_FLAG_FRACTION * replicates) | (replicates - exclusions < 2)
     return tuple(
         CIWidthGrid(
             target_parameter=target,
@@ -289,7 +279,7 @@ def ll_contour(data: TruncatedView, kind: str, p1_axis, p2_axis) -> LLContourGri
     for i, v1 in enumerate(p1):
         for j, v2 in enumerate(p2):
             try:
-                cells[i, j] = neg_log_likelihood(family(v1, v2), data.x_min, data)
+                cells[i, j] = neg_log_likelihood(family(v1, v2), data)
             except ParameterError:
                 invalid += 1
     name1, name2 = (f.name for f in fields(family))
@@ -345,10 +335,10 @@ def ridge_demo(
     sample = gen.sample(n, replicate_seed(seed, 0))
     view = truncate(CountDataset(sample), 1)
     fit = fit_hooked(view)
-    neg_ll_true = neg_log_likelihood(truth, 1, view)
+    neg_ll_true = neg_log_likelihood(truth, view)
     neg_ll_fitted = fit.neg_log_likelihood
     hybrid = HookedPowerLawParams(fit.params.alpha, true_B)
-    neg_ll_hybrid = neg_log_likelihood(hybrid, 1, view)
+    neg_ll_hybrid = neg_log_likelihood(hybrid, view)
     if fit.converged and neg_ll_fitted > neg_ll_true + 1e-6:
         raise InternalConsistencyError(
             "converged fit is worse than the generating parameters"

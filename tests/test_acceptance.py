@@ -242,7 +242,7 @@ def _profile_hooked_fit(view):
     )
     b = math.expm1(best.x)
     a = alpha_at(b)[0]
-    return a, neg_log_likelihood(HookedPowerLawParams(a, b), view.x_min, view)
+    return a, neg_log_likelihood(HookedPowerLawParams(a, b), view)
 
 
 def _hybrid_worse_rate(alpha, B):

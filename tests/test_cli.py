@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import citefit
-from citefit import fitting
-from citefit.cli import MAX_AXIS_POINTS, _integer_column, main, parse_axis
-from citefit.errors import UsageError
+from citefit import comparison, fitting
+from citefit.cli import KINDS, MAX_AXIS_POINTS, _integer_column, main, parse_axis
+from citefit.dataset import load_counts, truncate
+from citefit.errors import DegenerateDataError, InternalConsistencyError, UsageError
 from citefit.kernels import (
     DiscreteDistribution,
     DiscreteLognormalParams,
@@ -417,6 +418,51 @@ class TestAnalyzeCommand:
         # diagnostics never leak into the data stream
         json.loads(out)
 
+    def test_non_convergent_fits_are_flagged_in_family_order(self, tmp_path, capsys):
+        # at x_min = 1000 these counts pin the power law at alpha = 20, its bound
+        path = tmp_path / "pinned.txt"
+        path.write_text("1000\n" * 99 + "1001\n", encoding="utf-8")
+        view = truncate(load_counts(path, "plain"), 1000)
+        verdicts = []
+        for kind in KINDS:
+            try:
+                if not fitting.fit_kind(view, kind).converged:
+                    verdicts.append(f"{kind}:non-convergent")
+            except DegenerateDataError:
+                verdicts.append(f"{kind}:degenerate")
+        assert "pl:non-convergent" in verdicts
+        code, out, err = main_output(capsys, "analyze", "--input", str(path), "--x-min", "1000")
+        assert code == 0
+        row = json.loads(out)
+        assert row["pl_alpha"] == 20.0
+        assert row["flags"] == ";".join(verdicts)
+        warnings = {"non-convergent": "did not converge", "degenerate": "degenerate"}
+        for kind, cause in (verdict.split(":") for verdict in verdicts):
+            assert f"warning: {kind} fit {warnings[cause]}" in err
+        code, _, err = main_output(capsys, "fit", "--input", str(path), "--x-min", "1000",
+                                   "--dist", "pl")
+        assert code == 0 and "warning: pl fit did not converge" in err
+
+    def test_inconsistent_lrt_is_flagged_not_fatal(self, tmp_path, capsys, monkeypatch):
+        path = write_counts(tmp_path, HookedPowerLawParams(3.0, 10.0), 400, seed=11)
+        args = ("analyze", "--input", path, "--x-min", "all")
+        code, out, _ = main_output(capsys, *args)
+        assert code == 0
+        consistent = json.loads(out)
+
+        def inconsistent(fit_pl, fit_hooked):
+            raise InternalConsistencyError("hooked fit is worse than the nested power law")
+
+        monkeypatch.setattr(comparison, "lrt_test", inconsistent)
+        code, out, err = main_output(capsys, *args)
+        assert code == 0
+        row = json.loads(out)
+        assert row["lrt_hooked_pl"] is None
+        assert row["flags"].split(";")[-1] == "lrt(pl,hooked):inconsistent"
+        assert "worse than the nested power law" in err
+        for column in ("vuong_pl_ln", "vuong_ln_hooked"):
+            assert row[column] == consistent[column] is not None
+
     def test_byte_identical_across_runs(self, tmp_path):
         path = write_counts(tmp_path, HookedPowerLawParams(3.0, 10.0), 400, seed=11)
         args = ("analyze", "--input", path, "--x-min", "all")
@@ -459,6 +505,21 @@ class TestCiStudyCommand:
         assert payload["replicates"] == 5
         assert len(payload["widths"]) == 1
 
+
+    @pytest.mark.parametrize("options, replicates", [
+        (("--preset", "desk"), 100),
+        (("--replicates", "3", "--preset", "desk"), 3),
+    ])
+    def test_replicates_of_the_preset_or_the_option(self, capsys, options, replicates):
+        code, out, _ = main_output(capsys, "ci-study", "--kind", "pl", "--alpha-grid", "10",
+                                   "--n-grid", "25", *options)
+        assert code == 0
+        assert json.loads(out)["replicates"] == replicates
+
+    def test_lognormal_study_needs_its_grids(self, capsys):
+        code, out, err = main_output(capsys, "ci-study", "--kind", "ln", "--sigma-grid", "1")
+        assert code == 1 and out == ""
+        assert "--mu-grid and --sigma-grid are required" in err
 
     @pytest.mark.parametrize("kind", ["hooked", "ln"])
     def test_leaves_numpy_ma_unimported(self, kind):

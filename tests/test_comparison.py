@@ -143,6 +143,11 @@ class TestLrt:
         with pytest.raises(UsageError):
             lrt_test(pl, ln)
 
+    def test_fits_of_two_truncations_are_refused(self):
+        view = sample_view(PowerLawParams(2.5), 300, seed=15)
+        with pytest.raises(UsageError, match="same truncated data"):
+            lrt_test(fit_power_law(view), fit_hooked(truncate(view.base, 2)))
+
     def test_order_invariance(self):
         base = sample_view(HookedPowerLawParams(3.0, 10.0), 500, seed=16)
         shuffled = np.repeat(base.values, base.multiplicities)

@@ -49,8 +49,8 @@ class TestLoadCounts:
             load_counts(write(tmp_path, "d.txt", "5\nfoo\n2"), "plain")
 
     @pytest.mark.parametrize("name,fmt,text", [
-        # past int()'s digit limit, where there is one, else too large; and no
-        # newline in the digit parser's first block
+        # past int()'s digit limit, where there is one, and too large all the same;
+        # and no newline in the digit parser's first block
         ("long.txt", "plain", "7" * 40_000 + "\n"),
         ("large.txt", "plain", "7" * 4_000 + "\n"),  # too large, under any digit limit
         ("long.csv", "csv", "citations\n" + "x" * 100_000 + "\n"),
@@ -64,6 +64,24 @@ class TestLoadCounts:
         assert info.value.line_number == 1 + (fmt == "csv")
         assert len(str(info.value).encode()) < 200
         assert f"({len(text.splitlines()[-1]):,} characters)" in str(info.value)
+
+    @pytest.mark.parametrize("fmt", ["plain", "csv"])
+    @pytest.mark.parametrize("line, error", [
+        ("7" * 5_000, "count too large (>= 2**63)"),
+        ("-" + "7" * 5_000, "negative count"),
+        ("0" * 4_999 + "5", None),
+    ], ids=["large", "negative", "zero-padded"])
+    def test_a_digit_line_past_int_digit_limit(self, tmp_path, fmt, line, error):
+        # read by its significant digits, whatever int()'s limit on this Python
+        header = "citations\n" if fmt == "csv" else ""
+        path = write(tmp_path, f"digits.{fmt}", f"{header}3\n{line}\n")
+        if error is None:
+            assert histogram(load_counts(path, fmt)) == ([3, 5], [1, 1])
+            return
+        with pytest.raises(ParseError) as info:
+            load_counts(path, fmt)
+        assert str(info.value).startswith(f"line {2 + (fmt == 'csv')}: {error}: ")
+        assert f"({len(line):,} characters)" in str(info.value)
 
     def test_all_zeros_is_empty(self, tmp_path):
         with pytest.raises(EmptyDatasetError):

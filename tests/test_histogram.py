@@ -48,7 +48,7 @@ def test_nll_and_ks_match_per_row(shuffled, x_min):
     tail = rows[rows >= x_min]
     for params in (PowerLawParams(2.1), HookedPowerLawParams(2.7, 5.5)):
         dist = DiscreteDistribution(params, x_min)
-        nll = neg_log_likelihood(params, x_min, view)
+        nll = neg_log_likelihood(params, view)
         assert nll == pytest.approx(per_row_nll(dist, tail), rel=1e-12)
         assert ks_distance(dist, view) == pytest.approx(per_row_ks(dist, tail), rel=1e-12)
 
@@ -95,7 +95,7 @@ def test_truncation_and_nll_in_bounded_memory():
     tracemalloc.start()
     try:
         views = [truncate(ds, x_min) for x_min in (1, 2, 5, 20, 100)]
-        nll = neg_log_likelihood(PowerLawParams(2.0), 5, views[2])
+        nll = neg_log_likelihood(PowerLawParams(2.0), views[2])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

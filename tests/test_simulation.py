@@ -6,11 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import pearsonr
 
+from citefit.dataset import CountDataset, truncate
 from citefit.errors import OutOfModelError, ParameterError, UsageError
-from citefit.fitting import neg_log_likelihood
-from citefit.kernels import DiscreteLognormalParams, HookedPowerLawParams
+from citefit.fitting import fit_many, neg_log_likelihood
+from citefit.kernels import (
+    DiscreteDistribution,
+    DiscreteLognormalParams,
+    HookedPowerLawParams,
+    PowerLawParams,
+)
 from citefit import simulation
 from citefit.simulation import (
+    EXCLUSION_FLAG_FRACTION,
     AttachmentParams,
     attachment_count_pmf,
     attachment_to_hooked,
@@ -18,11 +25,44 @@ from citefit.simulation import (
     hooked_to_attachment,
     ll_contour,
     lognormal_ci_study,
+    replicate_seed,
     ridge_demo,
     slope_tolerance_threshold,
 )
 
 from conftest import sample_view
+
+
+def expected_grids(generators, replicates, seed, kind, targets):
+    """A study's exclusions, flags and widths, recomputed from scratch.
+
+    ``generators[i][j]`` is cell (i, j)'s ``(params, n)``. Its replicates are
+    drawn with the study's seeds and fitted at the generator's x_min by
+    ``fit_many``; the converged fits are kept, and a target's width is
+    ``np.percentile`` 5-95 of the kept values when there are two of them.
+    """
+    shape = (len(generators), len(generators[0]))
+    exclusions = np.zeros(shape, dtype=int)
+    widths = np.full((len(targets), *shape), np.nan)
+    for i, j in np.ndindex(shape):
+        params, n = generators[i][j]
+        gen = DiscreteDistribution(params)
+        views = [truncate(CountDataset(gen.sample(n, replicate_seed(seed, i, j, r))), gen.x_min)
+                 for r in range(replicates)]
+        kept = [fit.params for fit in fit_many(views, kind) if fit is not None and fit.converged]
+        exclusions[i, j] = replicates - len(kept)
+        for width, name in zip(widths, targets):
+            if len(kept) >= 2:
+                lo, hi = np.percentile([getattr(p, name) for p in kept], [5.0, 95.0])
+                width[i, j] = hi - lo
+    flagged = (exclusions > EXCLUSION_FLAG_FRACTION * replicates) | (replicates - exclusions < 2)
+    return exclusions, flagged, widths
+
+
+def assert_grid_is(grid, exclusions, flagged, width):
+    assert np.array_equal(grid.exclusions, exclusions)
+    assert np.array_equal(grid.flagged, flagged)
+    assert np.array_equal(grid.widths, width, equal_nan=True)
 
 
 class TestAttachmentMapping:
@@ -133,6 +173,17 @@ class TestCiWidthStudy:
         assert grid.exclusions[0][0] > 1
         assert grid.flagged[0][0]
 
+    def test_exclusions_and_widths_follow_the_kept_fits(self):
+        # alpha = 10 at n = 2 is nearly always one value (degenerate); alpha = 1.05
+        # pins fits at the box edge (non-convergent) and keeps a few
+        alphas, sizes = [10.0, 1.05], [2, 25]
+        grid = ci_width_study("pl", alphas, sizes, replicates=8, seed=7)
+        exclusions, flagged, widths = expected_grids(
+            [[(PowerLawParams(a), n) for n in sizes] for a in alphas], 8, 7, "pl", ["alpha"])
+        assert exclusions.max() == 8 and 0 < exclusions.min() < 7
+        assert np.isnan(widths).any() and np.isfinite(widths).any()
+        assert_grid_is(grid, exclusions, flagged, widths[0])
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(UsageError):
             ci_width_study("pl", [2.0], [100], replicates=1, seed=0)
@@ -189,6 +240,18 @@ class TestLognormalCiStudy:
         assert mu_grid.exclusions == sigma_grid.exclusions
         assert np.all(np.asarray(mu_grid.widths) > 0)
 
+    def test_exclusions_and_widths_follow_the_kept_fits(self):
+        # three draws from a narrow lognormal are one value (degenerate); from a
+        # wide one they are kept
+        mus, sigmas = [0.0], [0.01, 2.0]
+        grids = lognormal_ci_study(mus, sigmas, n=3, replicates=6, seed=2)
+        exclusions, flagged, widths = expected_grids(
+            [[(DiscreteLognormalParams(m, s), 3) for s in sigmas] for m in mus], 6, 2, "ln",
+            ["mu", "sigma"])
+        assert exclusions.tolist() == [[6, 0]] and flagged.tolist() == [[True, False]]
+        for grid, width in zip(grids, widths):
+            assert_grid_is(grid, exclusions, flagged, width)
+
     def test_reproducible(self):
         a = lognormal_ci_study([2.0], [1.0], n=200, replicates=10, seed=8)
         b = lognormal_ci_study([2.0], [1.0], n=200, replicates=10, seed=8)
@@ -199,7 +262,7 @@ class TestLlContour:
     def test_single_cell_equals_neg_log_likelihood(self):
         view = sample_view(DiscreteLognormalParams(2.0, 1.0), 300, seed=20)
         grid = ll_contour(view, "ln", [2.0], [1.0])
-        direct = neg_log_likelihood(DiscreteLognormalParams(2.0, 1.0), 1, view)
+        direct = neg_log_likelihood(DiscreteLognormalParams(2.0, 1.0), view)
         assert grid.cells[0][0] == pytest.approx(direct, abs=1e-9)
 
     def test_lognormal_focal_point(self):
